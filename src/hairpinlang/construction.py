@@ -2,11 +2,15 @@
 
 regex_dta embeds the classic derived term automaton into the couple world
 (labels (a, ε) only). two_sided_dta closes an expression under two-sided
-derivatives and wires every couple symbol. effective_automaton handles the
-k = 0 completions, which the two-sided derivative rules do not cover: it
-is a restricted construction with its own transition shape, built from the
-one-sided derived terms of the underlying regex, and is deliberately kept
-as a separate code path (it is not the k = 0 instance of the general one).
+derivatives. effective_automaton handles the k = 0 completions, which the
+two-sided derivative rules do not cover: it is a restricted construction
+with its own transition shape, built from the one-sided derived terms of
+the underlying regex, and is deliberately kept as a separate code path (it
+is not the k = 0 instance of the general one).
+
+Every transition comes from a step of the derived-term closure
+(DerivedTerms.edges): the closure derives each state by every symbol or
+couple once, and no builder derives again.
 
 States are numbered in construction order; the printed expression each
 state stands for is kept as its display label.
@@ -17,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .couple_nfa import CoupleNfa
-from .derivation import derived_terms, left_pd, right_pd, two_sided_pd
+from .derivation import derived_terms
 from .expr import (
     ExprError,
     HLeft,
@@ -25,7 +29,6 @@ from .expr import (
     Reg,
     Registry,
     RegexAst,
-    all_couples,
     as_hairpin,
     canonicalize,
     expr_key,
@@ -64,11 +67,7 @@ def regex_dta(f: RegexAst, reduce: bool = True) -> CoupleNfa:
     alphabet = infer_alphabet(g)
     dt = derived_terms(g, "left", alphabet=alphabet, reduce=reduce)
     exprs = [g] + [t for t in dt.terms if t != g]
-    trans = []
-    for e in exprs:
-        for a in alphabet:
-            for t in left_pd(e, a, reduce):
-                trans.append((e, (a, ""), t))
+    trans = [(r, (a, ""), t) for r, a, t in dt.edges]
     finals = [e for e in exprs if nullable(e)]
     return _assemble(alphabet, exprs, g, finals, trans, regex_str)
 
@@ -89,16 +88,10 @@ def two_sided_dta(
     if reduce:
         start = canonicalize(start)
     alphabet = infer_alphabet(start, registry)
-    couples = all_couples(alphabet)
     dt = derived_terms(start, "two_sided", registry, alphabet, reduce)
     exprs = [start] + [t for t in dt.terms if t != start]
-    trans = []
-    for e2 in exprs:
-        for c in couples:
-            for t in two_sided_pd(e2, c, registry, reduce):
-                trans.append((e2, c, t))
     finals = [e2 for e2 in exprs if nullable(e2)]
-    return _assemble(alphabet, exprs, start, finals, trans, expr_str)
+    return _assemble(alphabet, exprs, start, finals, dt.edges, expr_str)
 
 
 def effective_automaton(
@@ -130,8 +123,7 @@ def effective_automaton(
     dt = derived_terms(
         root.inner, "left" if rightward else "right", alphabet=alphabet, reduce=reduce
     )
-    derived = list(dt.terms)
-    inners = [root.inner] + [t for t in derived if t != root.inner]
+    derived = set(dt.terms)
 
     exprs = [root]
     seen = {root}
@@ -143,39 +135,23 @@ def effective_automaton(
             seen.add(state)
             exprs.append(state)
 
-    def stem_steps(r: RegexAst):
-        # couples that keep matching the stem, with the derivative terms
-        if rightward:
-            for x in alphabet:
-                if x in h.alphabet:
-                    yield (x, h.image(x)), left_pd(r, x, reduce)
-        else:
-            for x in alphabet:
-                if x in h.alphabet:
-                    yield (x, h.image(x)), right_pd(r, h.image(x), reduce)
-
-    def drop_steps(r: RegexAst):
-        # couples that stop matching the stem (one-sided reads)
-        if rightward:
-            for x in alphabet:
-                yield (x, ""), left_pd(r, x, reduce)
-        else:
-            for y in alphabet:
-                yield ("", y), right_pd(r, y, reduce)
+    # The couples (x, H(x)) that keep matching the stem, by the symbol a
+    # the closure step reads: x = a on the right, H(x) = a on the left.
+    if rightward:
+        stem = {a: [(a, h.image(a))] for a in h.alphabet}
+    else:
+        stem = {a: [(x, a) for x in h.preimages(a)] for a in h.alphabet}
 
     trans = []
-    for r in inners:
+    for r, a, t in dt.edges:
         w = op(0, root.h, r)
-        for c, terms in stem_steps(r):
-            for t in terms:
-                trans.append((w, c, op(0, root.h, t)))
-        for c, terms in drop_steps(r):
-            for t in terms:
-                trans.append((w, c, Reg(t)))
-    for r in derived:
-        for c, terms in drop_steps(r):
-            for t in terms:
-                trans.append((Reg(r), c, Reg(t)))
+        # a one-sided read stops matching the stem
+        drop = (a, "") if rightward else ("", a)
+        trans.append((w, drop, Reg(t)))
+        if r in derived:
+            trans.append((Reg(r), drop, Reg(t)))
+        for c in stem.get(a, ()):
+            trans.append((w, c, op(0, root.h, t)))
 
     finals = [e2 for e2 in exprs if nullable(e2)]
     return _assemble(alphabet, exprs, root, finals, trans, expr_str)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .expr import Couple
-from .oracle import CAP, LangSet
+from .oracle import LangSet, check_max_len
 
 
 class AutomatonError(ValueError):
@@ -65,11 +65,6 @@ class CoupleNfa:
             if state == q:
                 return text
         return q
-
-    def outgoing(self, q: str):
-        return sorted(
-            (c, dst) for src, c, dst in self.transitions if src == q
-        )
 
 
 def im(word: Sequence[Couple]) -> str:
@@ -145,10 +140,7 @@ def enumerate_gamma_language(a: CoupleNfa, max_len: int) -> LangSet:
     a state are built from strictly shorter words of the successor states
     (every label adds at least one symbol), so one pass per length is
     exact even when one-sided labels form cycles."""
-    if max_len > CAP:
-        raise AutomatonError(f"max_len {max_len} exceeds the enumeration cap {CAP}")
-    if max_len < 0:
-        raise AutomatonError("max_len must be non-negative")
+    check_max_len(max_len, AutomatonError)
     by_src: dict[str, list[tuple[str, str, str]]] = {q: [] for q in a.states}
     for src, (x, y), dst in a.transitions:
         by_src[src].append((x, y, dst))
@@ -209,6 +201,7 @@ def _unesc(text: str) -> str:
 
 def to_text(a: CoupleNfa) -> str:
     """Line-oriented dump; from_text() reads it back."""
+    names = dict(a.labels)
     lines = ["alphabet " + " ".join(a.alphabet)]
     for q in a.states:
         parts = ["state", _esc(q)]
@@ -216,8 +209,8 @@ def to_text(a: CoupleNfa) -> str:
             parts.append("initial")
         if q in a.final:
             parts.append("final")
-        if a.label(q) != q:
-            parts.append("label=" + _esc(a.label(q)))
+        if names.get(q, q) != q:
+            parts.append("label=" + _esc(names[q]))
         lines.append(" ".join(parts))
     for src, (x, y), dst in sorted(a.transitions):
         lines.append(f"trans {_esc(src)} {x or '~'} {y or '~'} {_esc(dst)}")
@@ -284,12 +277,13 @@ def to_dot(a: CoupleNfa) -> str:
     """GraphViz rendering: double circles for finals, a point-shaped
     arrow source per initial state, ε printed as ~."""
     ids = {q: f"n{i}" for i, q in enumerate(a.states)}
+    names = dict(a.labels)
     lines = ["digraph couple_nfa {", "  rankdir=LR;"]
     for i, q in enumerate(sorted(a.initial)):
         lines.append(f"  __start{i} [shape=point, label=\"\"];")
     for q in a.states:
         shape = "doublecircle" if q in a.final else "circle"
-        lines.append(f"  {ids[q]} [shape={shape}, label={_gvquote(a.label(q))}];")
+        lines.append(f"  {ids[q]} [shape={shape}, label={_gvquote(names.get(q, q))}];")
     for i, q in enumerate(sorted(a.initial)):
         lines.append(f"  __start{i} -> {ids[q]};")
     for src, (x, y), dst in sorted(a.transitions):

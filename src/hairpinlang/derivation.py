@@ -2,16 +2,21 @@
 
 The one-sided derivatives are Antimirov's: a set of terms whose languages
 union to the residual by one symbol, taken on the left or on the right.
-The two-sided derivative acts on couple symbols (x, y), consuming x on the
-left and y on the right in one step; on hairpin operators it follows the
-completion-specific rules (the couple must read a stem symbol and its
-image, otherwise the derivative is empty).
+One rule set serves both sides; it reads a concatenation from the side it
+derives on. The two-sided derivative acts on couple symbols (x, y),
+consuming x on the left and y on the right in one step; on hairpin
+operators it follows the completion-specific rules (the couple must read a
+stem symbol and its image, otherwise the derivative is empty).
 
 Term sets are ordered, duplicate-free tuples. A literal empty-set member
 never survives: it cannot contribute to any residual, so it is dropped
 before any wrapper is applied. Reduced mode (the default) canonicalizes
 every member; raw mode keeps the terms exactly as the rules build them,
 which is the regime the cardinality bounds are stated for.
+
+derived_terms keeps every step its closure takes. Those steps are the
+transitions of the derived-term automaton (Antimirov), so the builders in
+construction take them from the closure and derive nothing again.
 """
 
 from __future__ import annotations
@@ -55,55 +60,43 @@ def _finish_regex(terms, reduce: bool) -> tuple[RegexAst, ...]:
     return tuple(sorted(out, key=regex_key))
 
 
-def _concat_right(terms, g: RegexAst):
-    # S·G: drop empty members first, then wrap; the wrapper itself is not
-    # simplified here (reduced mode handles that afterwards).
-    return [Concat(t, g) for t in terms if not isinstance(t, Empty)]
+def _attach(terms, g: RegexAst, left: bool):
+    # S·G when deriving on the left, G·S on the right: drop empty members
+    # first, then wrap; the wrapper itself is not simplified here (reduced
+    # mode handles that afterwards).
+    return [
+        Concat(t, g) if left else Concat(g, t)
+        for t in terms
+        if not isinstance(t, Empty)
+    ]
 
 
-def _concat_left(f: RegexAst, terms):
-    return [Concat(f, t) for t in terms if not isinstance(t, Empty)]
+def _pd(f: RegexAst, a: str, left: bool) -> list[RegexAst]:
+    # Antimirov's rules, reading a Concat from the side being derived on.
+    if isinstance(f, Sym):
+        return [Epsilon()] if f.ch == a else []
+    if isinstance(f, Sum):
+        return _pd(f.left, a, left) + _pd(f.right, a, left)
+    if isinstance(f, Concat):
+        near, far = (f.left, f.right) if left else (f.right, f.left)
+        out = _attach(_pd(near, a, left), far, left)
+        if nullable(near):
+            out += _pd(far, a, left)
+        return out
+    if isinstance(f, Star):
+        return _attach(_pd(f.inner, a, left), f, left)
+    return []
 
 
 def left_pd(f: RegexAst, a: str, reduce: bool = True) -> tuple[RegexAst, ...]:
     """Antimirov left partial derivative: terms whose languages union to
     a^{-1}(L(f))."""
-    return _finish_regex(_left_pd(f, a), reduce)
-
-
-def _left_pd(f: RegexAst, a: str) -> list[RegexAst]:
-    if isinstance(f, Sym):
-        return [Epsilon()] if f.ch == a else []
-    if isinstance(f, Sum):
-        return _left_pd(f.left, a) + _left_pd(f.right, a)
-    if isinstance(f, Concat):
-        out = _concat_right(_left_pd(f.left, a), f.right)
-        if nullable(f.left):
-            out += _left_pd(f.right, a)
-        return out
-    if isinstance(f, Star):
-        return _concat_right(_left_pd(f.inner, a), f)
-    return []
+    return _finish_regex(_pd(f, a, True), reduce)
 
 
 def right_pd(f: RegexAst, a: str, reduce: bool = True) -> tuple[RegexAst, ...]:
     """Mirror of left_pd: terms whose languages union to (L(f))a^{-1}."""
-    return _finish_regex(_right_pd(f, a), reduce)
-
-
-def _right_pd(f: RegexAst, a: str) -> list[RegexAst]:
-    if isinstance(f, Sym):
-        return [Epsilon()] if f.ch == a else []
-    if isinstance(f, Sum):
-        return _right_pd(f.left, a) + _right_pd(f.right, a)
-    if isinstance(f, Concat):
-        out = _concat_left(f.left, _right_pd(f.right, a))
-        if nullable(f.right):
-            out += _right_pd(f.left, a)
-        return out
-    if isinstance(f, Star):
-        return _concat_left(f, _right_pd(f.inner, a))
-    return []
+    return _finish_regex(_pd(f, a, False), reduce)
 
 
 def word_pd(
@@ -197,9 +190,14 @@ def _reg_two_sided(f: RegexAst, x: str, y: str, reduce: bool):
 
 @dataclass(frozen=True)
 class DerivedTerms:
+    """A derived-term closure. ``edges`` holds every step the closure took,
+    as (term, symbol or couple, derived term), the source's own steps
+    included: they are the transitions of the derived-term automaton."""
+
     terms: tuple
     side: str
     source: object
+    edges: tuple
 
 
 def derived_terms(
@@ -210,8 +208,9 @@ def derived_terms(
     reduce: bool = True,
 ) -> DerivedTerms:
     """Closure of the one-step derivatives of e under further derivation,
-    by breadth-first worklist. The source expression belongs to the result
-    only when some derivative chain comes back to it.
+    by breadth-first worklist; every term, the source included, is derived
+    once by every step. The source expression belongs to the terms only
+    when some derivative chain comes back to it.
 
     Sides left/right need a pure regex and step over the alphabet; side
     two_sided steps over the whole couple alphabet (one-sided couples
@@ -224,36 +223,29 @@ def derived_terms(
         f = pure_regex_of(e)
         if f is None:
             raise ExprError(f"{side} derived terms require a pure regex")
-        if reduce:
-            f = canonicalize(f)
+        start = canonicalize(f) if reduce else f
         pd = left_pd if side == "left" else right_pd
-        seen: dict[RegexAst, None] = {}
-        queue = deque([f])
-        while queue:
-            t = queue.popleft()
-            for a in alphabet:
-                for t2 in pd(t, a, reduce):
-                    if t2 not in seen:
-                        seen[t2] = None
-                        queue.append(t2)
-        terms = tuple(sorted(seen, key=regex_key))
-        return DerivedTerms(terms, side, e)
-
-    if side != "two_sided":
+        symbols, key, args = alphabet, regex_key, (reduce,)
+    elif side == "two_sided":
+        start = canonicalize(as_hairpin(e)) if reduce else as_hairpin(e)
+        pd = two_sided_pd
+        symbols, key, args = all_couples(alphabet), expr_key, (registry, reduce)
+    else:
         raise ExprError(f"unknown side {side!r}")
-    start = canonicalize(as_hairpin(e)) if reduce else as_hairpin(e)
-    couples = all_couples(alphabet)
-    seen2: dict = {}
-    queue2 = deque([start])
-    while queue2:
-        t = queue2.popleft()
-        for c in couples:
-            for t2 in two_sided_pd(t, c, registry, reduce):
-                if t2 not in seen2:
-                    seen2[t2] = None
-                    queue2.append(t2)
-    terms = tuple(sorted(seen2, key=expr_key))
-    return DerivedTerms(terms, "two_sided", e)
+
+    seen: dict = {}
+    edges = []
+    queue = deque([start])
+    while queue:
+        t = queue.popleft()
+        for a in symbols:
+            for t2 in pd(t, a, *args):
+                edges.append((t, a, t2))
+                if t2 not in seen:
+                    seen[t2] = None
+                    if t2 != start:
+                        queue.append(t2)
+    return DerivedTerms(tuple(sorted(seen, key=key)), side, e, tuple(edges))
 
 
 def phi(k: int) -> int:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .couple_nfa import CoupleNfa
-from .expr import Couple
-from .oracle import CAP, LangSet
+from .couple_nfa import CoupleNfa, enumerate_gamma_language
+from .oracle import LangSet, check_max_len
 
 
 class GrammarError(ValueError):
@@ -86,36 +85,10 @@ def grammar_to_nfa(g: LinearGrammar) -> CoupleNfa:
 
 def generate_upto(g: LinearGrammar, max_len: int) -> LangSet:
     """All terminal words of length at most max_len derivable from the
-    axiom. Length-indexed dynamic programming over nonterminals; every
-    linear production grows the word, so shorter lengths are settled first."""
-    if max_len > CAP:
-        raise GrammarError(f"max_len {max_len} exceeds the enumeration cap {CAP}")
-    if max_len < 0:
-        raise GrammarError("max_len must be non-negative")
-    by_head: dict[str, list[tuple[str, str, str]]] = {v: [] for v in g.nonterminals}
-    for a, x, b, y in g.productions:
-        by_head[a].append((x, b, y))
-    gen: list[dict[str, set[str]]] = []
-    for n in range(max_len + 1):
-        level: dict[str, set[str]] = {}
-        for v in g.nonterminals:
-            words = set()
-            if n == 0 and v in g.eps_productions:
-                words.add("")
-            if n >= 1:
-                for x, b, y in by_head[v]:
-                    grow = len(x) + len(y)
-                    if grow > n:
-                        continue
-                    for mid in gen[n - grow][b]:
-                        words.add(x + mid + y)
-            level[v] = words
-        gen.append(level)
-    out = set()
-    for start in {g.axiom} | g.axiom_links:
-        for level in gen:
-            out.update(level[start])
-    return LangSet(frozenset(out), max_len)
+    axiom: the image language of the grammar's automaton, enumerated by
+    the same length-indexed dynamic programming."""
+    check_max_len(max_len, GrammarError)
+    return enumerate_gamma_language(grammar_to_nfa(g), max_len)
 
 
 def to_text(g: LinearGrammar) -> str:

@@ -76,16 +76,18 @@ class LangSet:
         return LangSet(words, bound)
 
 
-def _check_cap(max_len: int):
+def check_max_len(max_len: int, error: type[Exception]) -> None:
+    """Reject an enumeration bound outside 0..CAP, raising the caller's
+    own error type."""
     if max_len > CAP:
-        raise OracleError(f"max_len {max_len} exceeds the enumeration cap {CAP}")
+        raise error(f"max_len {max_len} exceeds the enumeration cap {CAP}")
     if max_len < 0:
-        raise OracleError("max_len must be non-negative")
+        raise error("max_len must be non-negative")
 
 
 def enum_regex(f: RegexAst, max_len: int) -> LangSet:
     """All words of L(f) of length at most max_len."""
-    _check_cap(max_len)
+    check_max_len(max_len, OracleError)
     return LangSet(frozenset(_enum(f, max_len)), max_len)
 
 
@@ -203,7 +205,7 @@ def hairpin_enum(
     """All words of L(e) of length at most max_len, for a hairpin
     expression: enumerate the regex parts, then apply the completion
     operators set-wise."""
-    _check_cap(max_len)
+    check_max_len(max_len, OracleError)
     e = as_hairpin(e)
     if isinstance(e, Reg):
         return enum_regex(e.re, max_len)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hairpinlang
 from hairpinlang.cli import run
 
 INV = "a:a,b:c,c:b"
@@ -299,3 +305,15 @@ def test_runs_are_deterministic(capsys):
     assert run(args) == 0
     second, _ = out_of(capsys)
     assert first == second
+
+
+@pytest.mark.parametrize("module", ["hairpinlang", "hairpinlang.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(hairpinlang.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    base = [sys.executable, "-m", module, "member", "--expr", "Hr[1,H](a*bc)", "--map", INV]
+    yes = subprocess.run(base + ["--word", "aabcaa"], env=env, capture_output=True, text=True)
+    assert (yes.returncode, yes.stdout) == (0, "true\n")
+    no = subprocess.run(base + ["--word", "abcaa"], env=env, capture_output=True, text=True)
+    assert (no.returncode, no.stdout) == (1, "false\n")

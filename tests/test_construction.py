@@ -4,6 +4,7 @@ import pytest
 
 from corpus import (
     REG_INV,
+    REGEX_CORPUS,
     corpus_expressions,
     k0_expressions,
     random_regex,
@@ -18,8 +19,26 @@ from hairpinlang.couple_nfa import (
     membership_dp,
     to_text,
 )
-from hairpinlang.derivation import bounds
-from hairpinlang.expr import ExprError, expr_str, metrics, parse
+from hairpinlang.derivation import (
+    bounds,
+    derived_terms,
+    left_pd,
+    right_pd,
+    two_sided_pd,
+)
+from hairpinlang.expr import (
+    ExprError,
+    HRight,
+    Reg,
+    all_couples,
+    as_hairpin,
+    canonicalize,
+    expr_str,
+    infer_alphabet,
+    metrics,
+    parse,
+    regex_str,
+)
 from hairpinlang.oracle import enum_regex, hairpin_enum
 
 STEM_LOOP_TEXT = """\
@@ -223,3 +242,78 @@ def test_initial_label_prints_the_expression():
     assert a.label(first) == "Hr[2,H](abcb)"
     raw = two_sided_dta(e, REG_INV, reduce=False)
     assert raw.label(next(iter(raw.initial))) == "Hr[2,H](abcb)"
+
+
+# The builders take their transitions from the derived-term closure. The
+# references below rebuild each transition set from the per-symbol
+# derivatives instead: every state is derived by every symbol or couple.
+
+
+def test_two_sided_dta_transitions_match_per_couple_derivatives():
+    for reduce in (True, False):
+        for e, reg in corpus_expressions():
+            start = canonicalize(as_hairpin(e)) if reduce else as_hairpin(e)
+            alphabet = infer_alphabet(start, reg)
+            dt = derived_terms(start, "two_sided", reg, alphabet, reduce)
+            want = {
+                (expr_str(s), c, expr_str(t))
+                for s in {start, *dt.terms}
+                for c in all_couples(alphabet)
+                for t in two_sided_pd(s, c, reg, reduce)
+            }
+            assert trans_by_label(two_sided_dta(e, reg, reduce)) == want, expr_str(e)
+
+
+def test_regex_dta_transitions_match_per_symbol_derivatives():
+    rng = random.Random(89)
+    regexes = [parse(t).re for t in REGEX_CORPUS]
+    regexes += [random_regex(rng, ("a", "b", "c"), rng.randint(1, 6)) for _ in range(40)]
+    for reduce in (True, False):
+        for f in regexes:
+            g = canonicalize(f) if reduce else f
+            alphabet = infer_alphabet(g)
+            dt = derived_terms(g, "left", alphabet=alphabet, reduce=reduce)
+            want = {
+                (regex_str(s), (a, ""), regex_str(t))
+                for s in {g, *dt.terms}
+                for a in alphabet
+                for t in left_pd(s, a, reduce)
+            }
+            assert trans_by_label(regex_dta(f, reduce)) == want, regex_str(f)
+
+
+def effective_reference(root, reg, reduce):
+    """The stem and drop rules of the effective automaton, per symbol: a
+    wrapped state reads (x, H(x)) into a wrapped derivative, and it or a
+    bare derived term reads a one-sided couple into a bare derivative."""
+    h = reg[root.h]
+    rightward = isinstance(root, HRight)
+    pd = left_pd if rightward else right_pd
+    alphabet = infer_alphabet(root, reg)
+    side = "left" if rightward else "right"
+    derived = derived_terms(root.inner, side, alphabet=alphabet, reduce=reduce).terms
+
+    def wrap(r):
+        return expr_str(type(root)(0, root.h, r))
+
+    want = set()
+    for r in {root.inner, *derived}:
+        for x in alphabet:
+            drop = (x, "") if rightward else ("", x)
+            for t in pd(r, x, reduce):
+                want.add((wrap(r), drop, expr_str(Reg(t))))
+                if r in derived:
+                    want.add((expr_str(Reg(r)), drop, expr_str(Reg(t))))
+            if x in h.alphabet:
+                stem_end = x if rightward else h.image(x)
+                for t in pd(r, stem_end, reduce):
+                    want.add((wrap(r), (x, h.image(x)), wrap(t)))
+    return want
+
+
+def test_effective_automaton_transitions_match_stem_and_drop_rules():
+    for reduce in (True, False):
+        for e, reg in k0_expressions():
+            root = canonicalize(as_hairpin(e)) if reduce else as_hairpin(e)
+            want = effective_reference(root, reg, reduce)
+            assert trans_by_label(effective_automaton(e, reg, reduce)) == want, expr_str(e)
