@@ -3,7 +3,7 @@
 Subcommands: parse, derive, dta, effective, member, enum, grammar,
 verify-bounds. Exit status is 0 on success, 1 when a membership query
 answers false or a bound check fails (so shells can branch on it), and
-2 on usage, parse, or I/O errors.
+2 on usage, parse, or I/O errors and on input too large to process.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from . import grammar as gram
 from .construction import effective_automaton, two_sided_dta
 from .derivation import bounds, derived_terms, two_sided_pd
 from .expr import (
+    Completion,
     ExprError,
-    HLeft,
-    HRight,
     expr_str,
     has_zero_k,
     infer_alphabet,
@@ -113,7 +112,7 @@ def _couple(text: str):
 def _automaton(e, registry, reduce: bool):
     """Route an expression to the construction that recognizes it."""
     if has_zero_k(e):
-        if isinstance(e, (HRight, HLeft)):
+        if isinstance(e, Completion):
             return effective_automaton(e, registry, reduce)
         raise ExprError("k = 0 completions are supported only as the whole expression")
     return two_sided_dta(e, registry, reduce)
@@ -266,6 +265,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (ExprError, OracleError, cnfa.AutomatonError, gram.GrammarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # last resort: some layers still recurse per level
+        print("error: input too deeply nested or too long", file=sys.stderr)
         return 2
 
 

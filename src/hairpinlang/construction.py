@@ -23,9 +23,8 @@ from typing import Optional
 from .couple_nfa import CoupleNfa
 from .derivation import derived_terms
 from .expr import (
+    Completion,
     ExprError,
-    HLeft,
-    HRight,
     Reg,
     Registry,
     RegexAst,
@@ -109,14 +108,14 @@ def effective_automaton(
     root = as_hairpin(e)
     if reduce:
         root = canonicalize(root)
-    if not isinstance(root, (HRight, HLeft)) or root.k != 0:
+    if not isinstance(root, Completion) or root.k != 0:
         raise ExprError(
             "effective_automaton requires a single k = 0 right or left completion"
         )
     if registry is None or root.h not in registry:
         raise ExprError(f"anti-morphism {root.h!r} is not registered")
     h = registry[root.h]
-    rightward = isinstance(root, HRight)
+    rightward = root.mode == "right"
     alphabet = infer_alphabet(root, registry)
     op = type(root)
 

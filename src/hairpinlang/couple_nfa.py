@@ -103,12 +103,18 @@ def membership_test(a: CoupleNfa, w: str) -> bool:
     return any(is_in_right_language(a, w, q) for q in sorted(a.initial))
 
 
-def membership_dp(a: CoupleNfa, w: str) -> bool:
-    """Same answer as membership_test, via memoization on (state, interval):
-    whether w[i:j] is generated from the state. O(|Q|·|w|²·|δ|) worst case."""
+def _by_src(a: CoupleNfa) -> dict[str, list[tuple[str, str, str]]]:
+    """The transitions as (x, y, target) lists, indexed by source state."""
     by_src: dict[str, list[tuple[str, str, str]]] = {q: [] for q in a.states}
     for src, (x, y), dst in a.transitions:
         by_src[src].append((x, y, dst))
+    return by_src
+
+
+def membership_dp(a: CoupleNfa, w: str) -> bool:
+    """Same answer as membership_test, via memoization on (state, interval):
+    whether w[i:j] is generated from the state. O(|Q|·|w|²·|δ|) worst case."""
+    by_src = _by_src(a)
     memo: dict[tuple[str, int, int], bool] = {}
 
     def gen(q: str, i: int, j: int) -> bool:
@@ -141,9 +147,7 @@ def enumerate_gamma_language(a: CoupleNfa, max_len: int) -> LangSet:
     (every label adds at least one symbol), so one pass per length is
     exact even when one-sided labels form cycles."""
     check_max_len(max_len, AutomatonError)
-    by_src: dict[str, list[tuple[str, str, str]]] = {q: [] for q in a.states}
-    for src, (x, y), dst in a.transitions:
-        by_src[src].append((x, y, dst))
+    by_src = _by_src(a)
     # gen[n][q] = words of length exactly n generated from q
     gen: list[dict[str, set[str]]] = []
     for n in range(max_len + 1):
@@ -187,16 +191,7 @@ def _esc(text: str) -> str:
 
 
 def _unesc(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        if text[i] == "\\" and i + 1 < len(text):
-            out.append(text[i + 1])
-            i += 2
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", r"\1", text, flags=re.S)
 
 
 def to_text(a: CoupleNfa) -> str:

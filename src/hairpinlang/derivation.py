@@ -61,14 +61,10 @@ def _finish_regex(terms, reduce: bool) -> tuple[RegexAst, ...]:
 
 
 def _attach(terms, g: RegexAst, left: bool):
-    # S·G when deriving on the left, G·S on the right: drop empty members
-    # first, then wrap; the wrapper itself is not simplified here (reduced
+    # S·G when deriving on the left, G·S on the right. _pd yields no
+    # empty-set member; the wrapper itself is not simplified here (reduced
     # mode handles that afterwards).
-    return [
-        Concat(t, g) if left else Concat(g, t)
-        for t in terms
-        if not isinstance(t, Empty)
-    ]
+    return [Concat(t, g) if left else Concat(g, t) for t in terms]
 
 
 def _pd(f: RegexAst, a: str, left: bool) -> list[RegexAst]:
@@ -117,10 +113,6 @@ def word_pd(
     return terms
 
 
-def _wrap(terms, ctor, k: int, h: str):
-    return [ctor(k, h, t) for t in terms if not isinstance(t, Empty)]
-
-
 def two_sided_pd(
     e,
     c: Couple,
@@ -161,17 +153,14 @@ def two_sided_pd(
         return ()
 
     inner_xy = _reg_two_sided(e.inner, x, y, reduce)
-    bare = [t.re for t in inner_xy]
-    if isinstance(e, HRight):
-        wrapped = _wrap(left_pd(e.inner, x, reduce), HRight, e.k, e.h)
-        rest = bare if e.k == 1 else _wrap(bare, HPrime, e.k - 1, e.h)
-    elif isinstance(e, HLeft):
-        wrapped = _wrap(right_pd(e.inner, y, reduce), HLeft, e.k, e.h)
-        rest = bare if e.k == 1 else _wrap(bare, HPrime, e.k - 1, e.h)
+    if e.k == 1:
+        out = set(inner_xy)
     else:
-        wrapped = []
-        rest = bare if e.k == 1 else _wrap(bare, HPrime, e.k - 1, e.h)
-    out = {as_hairpin(t) for t in wrapped + rest}
+        out = {HPrime(e.k - 1, e.h, t.re) for t in inner_xy}
+    if e.mode == "right":
+        out.update(HRight(e.k, e.h, t) for t in left_pd(e.inner, x, reduce))
+    elif e.mode == "left":
+        out.update(HLeft(e.k, e.h, t) for t in right_pd(e.inner, y, reduce))
     return tuple(sorted(out, key=expr_key))
 
 

@@ -13,6 +13,13 @@ layer wraps regular expressions in completion operators:
 and sums of hairpin expressions. Each operator names an anti-morphism,
 resolved against a registry, so several maps can coexist in one session.
 
+The three operators are one family: ``Completion(k, h, inner)`` holds the
+fields and checks, and ``HRight``/``HLeft``/``HPrime`` only set constants
+(printed name, the side ``mode`` a completion extends, least k, sort rank),
+so other layers read ``mode`` instead of testing classes. What an
+expression contains (symbols, map names, k, metrics) is read off one
+iterative walk over both layers.
+
 Concrete syntax (whitespace between tokens is ignored)::
 
     expr    := term ('+' term)*
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import ClassVar, Iterator, Mapping, Optional, Union
 
 
 class ExprError(ValueError):
@@ -223,39 +230,35 @@ class Reg:
 
 
 @dataclass(frozen=True)
-class HRight:
+class Completion:
+    """A completion operator: stem length k, anti-morphism name h and the
+    regex it completes. Subclasses set only the class constants."""
+
+    op: ClassVar[str]
+    mode: ClassVar[str]
+    min_k: ClassVar[int]
+    rank: ClassVar[int]
+
     k: int
     h: str
     inner: RegexAst
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ExprError("HRight requires k >= 0")
-        _check_regex(self.inner, "HRight")
+        if self.k < self.min_k:
+            raise ExprError(f"{type(self).__name__} requires k >= {self.min_k}")
+        _check_regex(self.inner, type(self).__name__)
 
 
-@dataclass(frozen=True)
-class HLeft:
-    k: int
-    h: str
-    inner: RegexAst
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ExprError("HLeft requires k >= 0")
-        _check_regex(self.inner, "HLeft")
+class HRight(Completion):
+    op, mode, min_k, rank = "Hr", "right", 0, 1
 
 
-@dataclass(frozen=True)
-class HPrime:
-    k: int
-    h: str
-    inner: RegexAst
+class HLeft(Completion):
+    op, mode, min_k, rank = "Hl", "left", 0, 2
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ExprError("HPrime requires k >= 1")
-        _check_regex(self.inner, "HPrime")
+
+class HPrime(Completion):
+    op, mode, min_k, rank = "Hp", "prime", 1, 3
 
 
 @dataclass(frozen=True)
@@ -269,9 +272,9 @@ class HSum:
                 raise ExprError(f"HSum requires hairpin expressions, got {type(side).__name__}")
 
 
-HairpinExpr = Union[Reg, HRight, HLeft, HPrime, HSum]
+HairpinExpr = Union[Reg, Completion, HSum]
 
-_HAIRPIN_TYPES = (Reg, HRight, HLeft, HPrime, HSum)
+_HAIRPIN_TYPES = (Reg, Completion, HSum)
 
 
 def as_hairpin(e) -> HairpinExpr:
@@ -292,47 +295,35 @@ def pure_regex_of(e) -> Optional[RegexAst]:
     return None
 
 
+def _nodes(e) -> Iterator:
+    """Every node of ``e``, hairpin and regex layers alike, walked with an
+    explicit stack so that depth costs no Python frames."""
+    stack = [e if isinstance(e, _REGEX_TYPES) else as_hairpin(e)]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Sum, Concat, HSum)):
+            stack += (node.right, node.left)
+        elif isinstance(node, (Star, Completion)):
+            stack.append(node.inner)
+        elif isinstance(node, Reg):
+            stack.append(node.re)
+
+
 def has_zero_k(e) -> bool:
     """True if any completion operator in ``e`` has k = 0 (routes the
     expression to the effective-automaton pipeline)."""
-    e = as_hairpin(e)
-    if isinstance(e, (HRight, HLeft)):
-        return e.k == 0
-    if isinstance(e, HSum):
-        return has_zero_k(e.left) or has_zero_k(e.right)
-    return False
+    return any(isinstance(n, Completion) and n.k == 0 for n in _nodes(e))
 
 
 def hairpin_names(e) -> frozenset[str]:
     """Anti-morphism names referenced by ``e``."""
-    e = as_hairpin(e)
-    if isinstance(e, (HRight, HLeft, HPrime)):
-        return frozenset({e.h})
-    if isinstance(e, HSum):
-        return hairpin_names(e.left) | hairpin_names(e.right)
-    return frozenset()
-
-
-def _regex_symbols(r: RegexAst) -> frozenset[str]:
-    if isinstance(r, Sym):
-        return frozenset({r.ch})
-    if isinstance(r, (Sum, Concat)):
-        return _regex_symbols(r.left) | _regex_symbols(r.right)
-    if isinstance(r, Star):
-        return _regex_symbols(r.inner)
-    return frozenset()
+    return frozenset(n.h for n in _nodes(e) if isinstance(n, Completion))
 
 
 def symbols_of(e) -> frozenset[str]:
     """Symbols occurring in ``e`` (regex or hairpin expression)."""
-    if isinstance(e, _REGEX_TYPES):
-        return _regex_symbols(e)
-    e = as_hairpin(e)
-    if isinstance(e, Reg):
-        return _regex_symbols(e.re)
-    if isinstance(e, HSum):
-        return symbols_of(e.left) | symbols_of(e.right)
-    return _regex_symbols(e.inner)
+    return frozenset(n.ch for n in _nodes(e) if isinstance(n, Sym))
 
 
 def infer_alphabet(e, registry: Optional[Registry] = None) -> tuple[str, ...]:
@@ -370,12 +361,8 @@ def expr_key(e: HairpinExpr):
     e = as_hairpin(e)
     if isinstance(e, Reg):
         return (0, regex_key(e.re))
-    if isinstance(e, HRight):
-        return (1, e.k, e.h, regex_key(e.inner))
-    if isinstance(e, HLeft):
-        return (2, e.k, e.h, regex_key(e.inner))
-    if isinstance(e, HPrime):
-        return (3, e.k, e.h, regex_key(e.inner))
+    if isinstance(e, Completion):
+        return (e.rank, e.k, e.h, regex_key(e.inner))
     return (4, expr_key(e.left), expr_key(e.right))
 
 
@@ -401,8 +388,6 @@ def nullable(e) -> bool:
         return nullable(e.re)
     if isinstance(e, HSum):
         return nullable(e.left) or nullable(e.right)
-    if isinstance(e, HPrime):
-        return False
     return e.k == 0 and nullable(e.inner)
 
 
@@ -414,33 +399,18 @@ class ExprMetrics:
     index: int
 
 
-def _regex_counts(r: RegexAst) -> tuple[int, int]:
-    if isinstance(r, Sym):
-        return 1, 0
-    if isinstance(r, (Sum, Concat)):
-        ln, lh = _regex_counts(r.left)
-        rn, rh = _regex_counts(r.right)
-        return ln + rn, lh + rh
-    if isinstance(r, Star):
-        n, h = _regex_counts(r.inner)
-        return n, h + 1
-    return 0, 0
-
-
 def metrics(e) -> ExprMetrics:
     """Width (symbol occurrences), star count, their sum, and the maximal
     completion depth k appearing in ``e`` (0 for a pure regex)."""
-    e = as_hairpin(e)
-    if isinstance(e, Reg):
-        n, h = _regex_counts(e.re)
-        return ExprMetrics(n, h, n + h, 0)
-    if isinstance(e, HSum):
-        lm = metrics(e.left)
-        rm = metrics(e.right)
-        n, h = lm.n + rm.n, lm.h + rm.h
-        return ExprMetrics(n, h, n + h, max(lm.index, rm.index))
-    n, h = _regex_counts(e.inner)
-    return ExprMetrics(n, h, n + h, e.k)
+    n = h = index = 0
+    for node in _nodes(e):
+        if isinstance(node, Sym):
+            n += 1
+        elif isinstance(node, Star):
+            h += 1
+        elif isinstance(node, Completion):
+            index = max(index, node.k)
+    return ExprMetrics(n, h, n + h, index)
 
 
 def _canon_regex(r: RegexAst) -> RegexAst:
@@ -512,9 +482,6 @@ def _print_regex(r: RegexAst, ctx: int) -> str:
     return f"({s})" if ctx > 0 else s
 
 
-_OP_NAMES = {HRight: "Hr", HLeft: "Hl", HPrime: "Hp"}
-
-
 def expr_str(e) -> str:
     """Printed form; reparsing a printed parser output yields the same AST."""
     if isinstance(e, _REGEX_TYPES):
@@ -533,14 +500,14 @@ def expr_str(e) -> str:
     arg = regex_str(e.inner)
     if isinstance(e.inner, Sum):
         arg = f"({arg})"
-    return f"{_OP_NAMES[type(e)]}[{e.k},{e.h}]({arg})"
+    return f"{e.op}[{e.k},{e.h}]({arg})"
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
 
-_HAIRPIN_OPS = {"Hr": HRight, "Hl": HLeft, "Hp": HPrime}
+_HAIRPIN_OPS = {op.op: op for op in (HRight, HLeft, HPrime)}
 
 
 class _Parser:
@@ -614,12 +581,12 @@ class _Parser:
         self.expect(")")
         if not isinstance(arg, Reg):
             self.fail("hairpin operator applied to a non-regular subexpression", arg_pos)
-        if op is HPrime and k < 1:
-            self.fail("HPrime requires k >= 1", k_pos)
+        if k < op.min_k:
+            self.fail(f"{op.__name__} requires k >= {op.min_k}", k_pos)
         if name not in self.registry:
             self.fail(f"unknown anti-morphism name {name!r}", op_pos)
         h = self.registry[name]
-        outside = sorted(_regex_symbols(arg.re) - set(h.alphabet))
+        outside = sorted(symbols_of(arg.re) - set(h.alphabet))
         if outside:
             self.fail(
                 f"symbol {outside[0]!r} is outside the alphabet of anti-morphism {name!r}",

@@ -18,9 +18,6 @@ from .expr import (
     Concat,
     Empty,
     Epsilon,
-    HLeft,
-    HPrime,
-    HRight,
     HSum,
     Reg,
     RegexAst,
@@ -216,9 +213,4 @@ def hairpin_enum(
     if registry is None or e.h not in registry:
         raise OracleError(f"anti-morphism {e.h!r} is not registered")
     h = registry[e.h]
-    inner = enum_regex(e.inner, max_len)
-    if isinstance(e, HRight):
-        return complete(inner, h, e.k, "right")
-    if isinstance(e, HLeft):
-        return complete(inner, h, e.k, "left")
-    return complete(inner, h, e.k, "prime")
+    return complete(enum_regex(e.inner, max_len), h, e.k, e.mode)

@@ -307,6 +307,24 @@ def test_runs_are_deterministic(capsys):
     assert first == second
 
 
+# Inputs that still exceed the recursion limit in some layer: the CLI
+# reports them as errors (exit 2), not with a traceback.
+TOO_DEEP = {
+    "nested-parentheses": ["parse", "--expr", "(" * 300 + "a" + ")" * 300],
+    "long-regex": ["parse", "--expr", "ab" * 600],
+    "long-word": ["member", "--expr", "Hr[2,H]((a+c+g+t)*acgt(a+t)*)",
+                  "--map", "a:t,t:a,c:g,g:c", "--word", "aa" + "c" * 992 + "acgttt"],
+}
+
+
+@pytest.mark.parametrize("argv", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+def test_too_deep_input_exits_2_with_a_message(argv, capsys):
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: input too deeply nested or too long\n"
+
+
 @pytest.mark.parametrize("module", ["hairpinlang", "hairpinlang.cli"])
 def test_python_dash_m_runs_the_cli(module):
     src = str(Path(hairpinlang.__file__).resolve().parents[1])

@@ -9,10 +9,12 @@ from hairpinlang.expr import (
     EMPTY,
     EPSILON,
     AntiMorphism,
+    Completion,
     Concat,
     Empty,
     Epsilon,
     ExprError,
+    ExprMetrics,
     HLeft,
     HPrime,
     HRight,
@@ -26,6 +28,8 @@ from hairpinlang.expr import (
     canonicalize,
     expr_str,
     h_word,
+    hairpin_names,
+    has_zero_k,
     infer_alphabet,
     metrics,
     nullable,
@@ -33,6 +37,7 @@ from hairpinlang.expr import (
     parse_map,
     parse_map_file,
     regex_str,
+    symbols_of,
 )
 from hairpinlang.oracle import enum_regex
 
@@ -230,6 +235,36 @@ def test_metrics():
     both = HSum(HRight(1, "H", Sym("a")), HLeft(3, "H", Sym("b")))
     assert metrics(both).index == 3
     assert metrics(both).n == 2
+
+
+def test_completion_family_shares_one_shape():
+    for cls, op, mode in ((HRight, "Hr", "right"), (HLeft, "Hl", "left"), (HPrime, "Hp", "prime")):
+        e = cls(2, "H", Sym("a"))
+        assert isinstance(e, Completion)
+        assert (e.op, e.mode) == (op, mode)
+        assert expr_str(e) == f"{op}[2,H](a)"
+        assert repr(e) == f"{cls.__name__}(k=2, h='H', inner=Sym(ch='a'))"
+        assert e == cls(2, "H", Sym("a")) and hash(e) == hash(cls(2, "H", Sym("a")))
+    assert HRight(1, "H", Sym("a")) != HLeft(1, "H", Sym("a"))
+    with pytest.raises(ExprError, match="HLeft requires k >= 0"):
+        HLeft(-1, "H", Sym("a"))
+    with pytest.raises(ExprError, match="HRight requires a regular expression, got Reg"):
+        HRight(1, "H", Reg(Sym("a")))
+
+
+def test_walk_answers_on_deep_spines():
+    # Built in a loop, not parsed: a walk that recursed once per level
+    # would exceed the interpreter's recursion limit here.
+    spine = Sym("a")
+    for i in range(5000):
+        spine = Concat(spine, Star(Sym("b")) if i % 10 == 0 else Sym("c"))
+    e = HRight(2, "H", spine)
+    assert metrics(e) == ExprMetrics(5001, 500, 5501, 2)
+    assert symbols_of(e) == {"a", "b", "c"}
+    assert not has_zero_k(e)
+    assert has_zero_k(HSum(Reg(spine), HLeft(0, "H", spine)))
+    assert hairpin_names(e) == {"H"}
+    assert infer_alphabet(e, {"H": parse_map("a:a,b:c,c:b,d:d")}) == ("a", "b", "c", "d")
 
 
 def test_canonicalize_reduced():
