@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="membership of a word")
     common(p, word=True)
     p.add_argument("--algo", choices=("dp", "naive"), default="dp",
-                   help="dp = memoized, naive = the recursive reference algorithm")
+                   help="dp = bit-parallel sweep, naive = the recursive reference algorithm")
     common(sub.add_parser("enum", help="enumerate the language up to --max-len"))
     p = sub.add_parser("grammar", help="convert between automata and linear grammars")
     common(p)

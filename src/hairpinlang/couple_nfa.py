@@ -8,8 +8,8 @@ recognize exactly the linear context-free languages.
 
 Membership is decided two ways: a faithful transcription of the recursive
 algorithm (try every transition whose components match the ends of the
-word), and a memoized variant over substring intervals that is polynomial.
-Both are exposed so tests can attest they agree.
+word), and an iterative bit-parallel sweep over the consumed length that
+is polynomial. Both are exposed so tests can attest they agree.
 """
 
 from __future__ import annotations
@@ -69,11 +69,9 @@ class CoupleNfa:
 
 def im(word: Sequence[Couple]) -> str:
     """Flatten a couple-symbol sequence: im(ε) = ε and
-    im((x,y)·w) = x·im(w)·y."""
-    if not word:
-        return ""
-    x, y = word[0]
-    return x + im(word[1:]) + y
+    im((x,y)·w) = x·im(w)·y, so the left components read forward and the
+    right components backward."""
+    return "".join(x for x, _ in word) + "".join(y for _, y in reversed(word))
 
 
 def is_in_right_language(a: CoupleNfa, w: str, q: str) -> bool:
@@ -112,31 +110,34 @@ def _by_src(a: CoupleNfa) -> dict[str, list[tuple[str, str, str]]]:
 
 
 def membership_dp(a: CoupleNfa, w: str) -> bool:
-    """Same answer as membership_test, via memoization on (state, interval):
-    whether w[i:j] is generated from the state. O(|Q|·|w|²·|δ|) worst case."""
-    by_src = _by_src(a)
-    memo: dict[tuple[str, int, int], bool] = {}
-
-    def gen(q: str, i: int, j: int) -> bool:
-        key = (q, i, j)
-        if key in memo:
-            return memo[key]
-        if i == j:
-            result = q in a.final
-        else:
-            result = False
-            for x, y, dst in by_src[q]:
-                if j - i < len(x) + len(y):
-                    continue
-                if w[i : i + len(x)] != x or w[j - len(y) : j] != y:
-                    continue
-                if gen(dst, i + len(x), j - len(y)):
-                    result = True
-                    break
-        memo[key] = result
-        return result
-
-    return any(gen(q, 0, len(w)) for q in sorted(a.initial))
+    """Same answer as membership_test, by a sweep over the consumed length
+    d = 0..|w|. At level d each state holds a bitset of the offsets i it
+    reaches with w[:i] and the last d-i letters read. A label (x, y) moves
+    bit i to bit i+|x| of level d+|x|+|y| if x starts at i and y ends at
+    |w|-d+i. Labels read letters, so transition order does not matter.
+    O(|w|·|δ|) big-int operations on ⌈|w|/64⌉ words, O(|Q|·|w|) bits."""
+    n = len(w)
+    # pos[s] has bit p set where s occurs at w[p:]; "" occurs everywhere
+    labels = {s for _, couple, _ in a.transitions for s in couple}
+    pos = {s: int("".join("1" if w.startswith(s, p) else "0" for p in range(n, -1, -1)), 2)
+           for s in labels}
+    moves = {q: [(pos[x], len(x), pos[y], len(y), len(x) + len(y), dst) for x, y, dst in out]
+             for q, out in _by_src(a).items()}
+    span = 1 + max((len(x) + len(y) for _, (x, y), _ in a.transitions), default=0)
+    ring = [dict.fromkeys(a.states, 0) for _ in range(span)]
+    for q in a.initial:
+        ring[0][q] = 1
+    for d in range(n):
+        for q, reach in ring[d % span].items():
+            if not reach:
+                continue
+            for px, lx, py, ly, grow, dst in moves[q]:
+                if d + grow <= n:
+                    hit = reach & px & (py >> (n - d - ly))
+                    if hit:
+                        ring[(d + grow) % span][dst] |= hit << lx
+        ring[d % span] = dict.fromkeys(a.states, 0)
+    return any(ring[n % span][q] for q in a.final)
 
 
 def enumerate_gamma_language(a: CoupleNfa, max_len: int) -> LangSet:

@@ -312,8 +312,6 @@ def test_runs_are_deterministic(capsys):
 TOO_DEEP = {
     "nested-parentheses": ["parse", "--expr", "(" * 300 + "a" + ")" * 300],
     "long-regex": ["parse", "--expr", "ab" * 600],
-    "long-word": ["member", "--expr", "Hr[2,H]((a+c+g+t)*acgt(a+t)*)",
-                  "--map", "a:t,t:a,c:g,g:c", "--word", "aa" + "c" * 992 + "acgttt"],
 }
 
 
@@ -323,6 +321,14 @@ def test_too_deep_input_exits_2_with_a_message(argv, capsys):
     out, err = out_of(capsys)
     assert out == ""
     assert err == "error: input too deeply nested or too long\n"
+
+
+def test_long_word_member_gets_the_right_answer(capsys):
+    # 1000 letters, past the recursion limit: the query must not recurse per letter
+    argv = ["member", "--expr", "Hr[2,H]((a+c+g+t)*acgt(a+t)*)",
+            "--map", "a:t,t:a,c:g,g:c", "--word", "aa" + "c" * 992 + "acgttt"]
+    assert run(argv) == 0
+    assert out_of(capsys) == ("true\n", "")
 
 
 @pytest.mark.parametrize("module", ["hairpinlang", "hairpinlang.cli"])

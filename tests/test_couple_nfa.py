@@ -47,6 +47,7 @@ def test_im_goldens():
     assert im([("a", "b")]) == "ab"
     assert im([("a", "b"), ("a", "")]) == "aab"
     assert im([("", "b"), ("c", "c")]) == "ccb"
+    assert im([("a", "b")] * 2500 + [("c", "")] * 2500) == "a" * 2500 + "c" * 2500 + "b" * 2500
 
 
 couples = st.tuples(
@@ -81,6 +82,13 @@ def test_anbn_enumeration():
 def test_membership_dp_handles_long_words():
     assert membership_dp(ANBN, "a" * 20 + "b" * 20)
     assert not membership_dp(ANBN, "a" * 20 + "b" * 19)
+    # past the recursion limit
+    assert membership_dp(ANBN, "a" * 5000 + "b" * 5000)
+    assert not membership_dp(ANBN, "a" * 5000 + "b" * 4999)
+    a = from_text(STEM_LOOP_TEXT)  # Hr[1,H](a*bc)
+    assert membership_dp(a, "a" * 4999 + "bc" + "a" * 4999)
+    assert not membership_dp(a, "a" * 4999 + "bc" + "a" * 4998)
+    assert not membership_dp(a, "a" * 4999 + "bc" + "a" * 2499 + "b" + "a" * 2499)
 
 
 def test_stem_loop_automaton_language():
@@ -166,6 +174,67 @@ def test_membership_algorithms_agree():
             naive = membership_test(a, w)
             assert naive == membership_dp(a, w)
             assert naive == (w in in_lang)
+
+
+def test_membership_dp_reads_labels_of_several_letters():
+    a = CoupleNfa(
+        ("ab", "c"),
+        ("0", "1"),
+        frozenset({"0"}),
+        frozenset({"1"}),
+        frozenset({
+            ("0", ("ab", "c"), "0"),
+            ("0", ("", "ab"), "1"),
+            ("1", ("c", ""), "1"),
+        }),
+    )
+    words = list(iter_words(("a", "b", "c"), 7))
+    members = [w for w in words if membership_test(a, w)]
+    assert "abcabc" in members and "abcab" not in members
+    assert [w for w in words if membership_dp(a, w)] == members
+
+
+one_sided = st.sampled_from([("a", ""), ("", "a"), ("b", ""), ("", "b")])
+
+
+@st.composite
+def couple_nfas(draw):
+    """Couple NFAs over a, b (c is in the alphabet but on no label) with
+    one or more initial states, a cycle of one-sided labels, and a final
+    state that no transition reaches."""
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1).map(str)
+    transitions = set(draw(st.lists(st.tuples(state, couples, state), max_size=8)))
+    ring = draw(st.lists(state, min_size=1, max_size=3))
+    transitions |= {(q, draw(one_sided), r) for q, r in zip(ring, ring[1:] + ring[:1])}
+    transitions.add(("u", draw(couples), draw(state)))
+    return CoupleNfa(
+        ("a", "b", "c"),
+        tuple(str(i) for i in range(n)) + ("u",),
+        frozenset(draw(st.lists(state, min_size=1, max_size=n))),
+        frozenset(draw(st.lists(state, max_size=n))) | {"u"},
+        frozenset(transitions),
+    )
+
+
+def renamed_in_reverse(a):
+    """a with every state renamed and the declaration order reversed, so
+    that sets of transitions iterate in another order."""
+    name = {q: f"r{i}" for i, q in enumerate(a.states)}
+    return CoupleNfa(
+        a.alphabet,
+        tuple(name[q] for q in reversed(a.states)),
+        frozenset(name[q] for q in a.initial),
+        frozenset(name[q] for q in a.final),
+        frozenset((name[src], c, name[dst]) for src, c, dst in a.transitions),
+    )
+
+
+@given(couple_nfas(), st.text("abc", max_size=7))
+def test_membership_dp_matches_the_reference(a, w):
+    want = membership_test(a, w)
+    assert membership_dp(a, w) == want
+    assert membership_dp(renamed_in_reverse(a), w) == want
 
 
 def test_text_round_trip_on_figures():
