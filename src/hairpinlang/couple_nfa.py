@@ -10,6 +10,11 @@ Membership is decided two ways: a faithful transcription of the recursive
 algorithm (try every transition whose components match the ends of the
 word), and an iterative bit-parallel sweep over the consumed length that
 is polynomial. Both are exposed so tests can attest they agree.
+
+Bounded enumeration lists each state's words one length at a time, up
+to a budget: the bound minus the fewest letters a run reads, from the
+outside in, before it reaches that state. States no run reaches within
+the bound list no words at all.
 """
 
 from __future__ import annotations
@@ -146,14 +151,31 @@ def enumerate_gamma_language(a: CoupleNfa, max_len: int) -> LangSet:
     Length-indexed dynamic programming: the words of length n generated by
     a state are built from strictly shorter words of the successor states
     (every label adds at least one symbol), so one pass per length is
-    exact even when one-sided labels form cycles."""
+    exact even when one-sided labels form cycles.
+
+    Budgeted: depth[q] is the fewest letters a run from an initial state
+    reads before it reaches q (shortest paths with weight |x|+|y|, states
+    bucketed by length). A length-n word of q sits inside an initial
+    state's word with at least depth[q] more letters, so q only lists
+    n <= max_len - depth[q], and unreachable states list nothing. Since
+    depth[dst] <= depth[q] + |x| + |y|, every entry read is one built."""
     check_max_len(max_len, AutomatonError)
     by_src = _by_src(a)
+    depth: dict[str, int] = {}
+    buckets: list[set[str]] = [set(a.initial)] + [set() for _ in range(max_len)]
+    for d, bucket in enumerate(buckets):
+        for q in bucket - depth.keys():
+            depth[q] = d
+            for x, y, dst in by_src[q]:
+                if d + len(x) + len(y) <= max_len:
+                    buckets[d + len(x) + len(y)].add(dst)
     # gen[n][q] = words of length exactly n generated from q
     gen: list[dict[str, set[str]]] = []
     for n in range(max_len + 1):
         level: dict[str, set[str]] = {}
-        for q in a.states:
+        for q, d in depth.items():
+            if d + n > max_len:
+                continue
             words = set()
             if n == 0:
                 if q in a.final:

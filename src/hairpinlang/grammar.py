@@ -86,7 +86,7 @@ def grammar_to_nfa(g: LinearGrammar) -> CoupleNfa:
 def generate_upto(g: LinearGrammar, max_len: int) -> LangSet:
     """All terminal words of length at most max_len derivable from the
     axiom: the image language of the grammar's automaton, enumerated by
-    the same length-indexed dynamic programming."""
+    the same budgeted length-indexed dynamic programming."""
     check_max_len(max_len, GrammarError)
     return enumerate_gamma_language(grammar_to_nfa(g), max_len)
 

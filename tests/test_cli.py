@@ -159,6 +159,12 @@ def test_enum_output(capsys):
     assert out == "bc\nabca\naabcaa\n"
 
 
+def test_enum_at_the_cap(capsys):
+    assert run(["enum", "--expr", "Hr[1,H](a*bc)", "--map", INV, "--max-len", "16"]) == 0
+    out, _ = out_of(capsys)
+    assert out == "".join("a" * i + "bc" + "a" * i + "\n" for i in range(8))
+
+
 def test_enum_epsilon_marker(capsys):
     assert run(["enum", "--expr", "%e", "--map", "a:a"]) == 0
     out, _ = out_of(capsys)

@@ -19,6 +19,7 @@ from hairpinlang.couple_nfa import (
     to_text,
 )
 from hairpinlang.expr import iter_words, parse
+from hairpinlang.grammar import generate_upto, nfa_to_grammar
 from hairpinlang.oracle import hairpin_enum, residual
 
 ANBN = CoupleNfa(
@@ -176,18 +177,21 @@ def test_membership_algorithms_agree():
             assert naive == (w in in_lang)
 
 
+SEVERAL_LETTERS = CoupleNfa(
+    ("ab", "c"),
+    ("0", "1"),
+    frozenset({"0"}),
+    frozenset({"1"}),
+    frozenset({
+        ("0", ("ab", "c"), "0"),
+        ("0", ("", "ab"), "1"),
+        ("1", ("c", ""), "1"),
+    }),
+)
+
+
 def test_membership_dp_reads_labels_of_several_letters():
-    a = CoupleNfa(
-        ("ab", "c"),
-        ("0", "1"),
-        frozenset({"0"}),
-        frozenset({"1"}),
-        frozenset({
-            ("0", ("ab", "c"), "0"),
-            ("0", ("", "ab"), "1"),
-            ("1", ("c", ""), "1"),
-        }),
-    )
+    a = SEVERAL_LETTERS
     words = list(iter_words(("a", "b", "c"), 7))
     members = [w for w in words if membership_test(a, w)]
     assert "abcabc" in members and "abcab" not in members
@@ -235,6 +239,26 @@ def test_membership_dp_matches_the_reference(a, w):
     want = membership_test(a, w)
     assert membership_dp(a, w) == want
     assert membership_dp(renamed_in_reverse(a), w) == want
+
+
+def reference_words(a, n):
+    return {w for w in iter_words(("a", "b", "c"), n) if membership_test(a, w)}
+
+
+@given(couple_nfas(), st.integers(0, 6))
+def test_enumeration_matches_the_reference(a, n):
+    want = reference_words(a, n)
+    assert enumerate_gamma_language(a, n).words == want
+    assert enumerate_gamma_language(renamed_in_reverse(a), n).words == want
+    assert generate_upto(nfa_to_grammar(a), n).words == want
+
+
+def test_enumeration_reads_labels_of_several_letters():
+    # abccabc runs 0 -(ab,c)-> 0 -(~,ab)-> 1 -(c,~)-> 1: three labels
+    # read seven letters
+    want = reference_words(SEVERAL_LETTERS, 7)
+    assert "abccabc" in want
+    assert enumerate_gamma_language(SEVERAL_LETTERS, 7).words == want
 
 
 def test_text_round_trip_on_figures():
