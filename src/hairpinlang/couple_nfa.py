@@ -9,7 +9,10 @@ recognize exactly the linear context-free languages.
 Membership is decided two ways: a faithful transcription of the recursive
 algorithm (try every transition whose components match the ends of the
 word), and an iterative bit-parallel sweep over the consumed length that
-is polynomial. Both are exposed so tests can attest they agree.
+is polynomial. The sweep folds the couples of one (source, target, |x|,
+|y|) move into one mask per level, built the first time a live state
+needs it, so it costs O(|w|·moves) big-int operations. Both are exposed
+so tests can attest they agree.
 
 Bounded enumeration lists each state's words one length at a time, up
 to a budget: the bound minus the fewest letters a run reads, from the
@@ -106,43 +109,62 @@ def membership_test(a: CoupleNfa, w: str) -> bool:
     return any(is_in_right_language(a, w, q) for q in sorted(a.initial))
 
 
-def _by_src(a: CoupleNfa) -> dict[str, list[tuple[str, str, str]]]:
-    """The transitions as (x, y, target) lists, indexed by source state."""
-    by_src: dict[str, list[tuple[str, str, str]]] = {q: [] for q in a.states}
-    for src, (x, y), dst in a.transitions:
-        by_src[src].append((x, y, dst))
-    return by_src
-
-
 def membership_dp(a: CoupleNfa, w: str) -> bool:
     """Same answer as membership_test, by a sweep over the consumed length
-    d = 0..|w|. At level d each state holds a bitset of the offsets i it
-    reaches with w[:i] and the last d-i letters read. A label (x, y) moves
-    bit i to bit i+|x| of level d+|x|+|y| if x starts at i and y ends at
-    |w|-d+i. Labels read letters, so transition order does not matter.
-    O(|w|·|δ|) big-int operations on ⌈|w|/64⌉ words, O(|Q|·|w|) bits."""
+    d = 0..|w|. At level d each live state holds a bitset of the offsets i
+    it reaches with w[:i] and the last d-i letters read. The couples of one
+    (source, target, |x|, |y|) move share a target level and a shift, so
+    they fold into P[y] = OR of pos[x] per right component y. At level d,
+    sh[y] = pos[y] >> (n-d-|y|) marks where y ends at |w|-d+i, and a move's
+    mask OR_y(P[y] & sh[y]) is built the first time a live state needs it.
+    A hit moves bit i to bit i+|x| of level d+|x|+|y|. Labels read letters,
+    so transition order does not matter. O(|w|·moves) big-int operations on
+    ⌈|w|/64⌉ words, O(|Q|·|w|) bits."""
     n = len(w)
+    index = {q: i for i, q in enumerate(a.states)}
     # pos[s] has bit p set where s occurs at w[p:]; "" occurs everywhere
     labels = {s for _, couple, _ in a.transitions for s in couple}
     pos = {s: int("".join("1" if w.startswith(s, p) else "0" for p in range(n, -1, -1)), 2)
            for s in labels}
-    moves = {q: [(pos[x], len(x), pos[y], len(y), len(x) + len(y), dst) for x, y, dst in out]
-             for q, out in _by_src(a).items()}
-    span = 1 + max((len(x) + len(y) for _, (x, y), _ in a.transitions), default=0)
-    ring = [dict.fromkeys(a.states, 0) for _ in range(span)]
-    for q in a.initial:
-        ring[0][q] = 1
+    # one move per (source, target, |x|, |y|): {index of y: OR of pos[x]}
+    fold: dict[tuple[int, int, int, int], dict[int, int]] = {}
+    ys: dict[str, int] = {}
+    for src, (x, y), dst in a.transitions:
+        ors = fold.setdefault((index[src], index[dst], len(x), len(y)), {})
+        k = ys.setdefault(y, len(ys))
+        ors[k] = ors.get(k, 0) | pos[x]
+    top = max(map(len, ys), default=0)
+    # padded by top bits, so that n-d-|y| < 0 still shifts right
+    padded = [(pos[y] << top, n + top - len(y)) for y in ys]
+    mask_ids: dict[tuple[tuple[int, int], ...], int] = {}
+    moves: list[list[tuple[int, int, int, int]]] = [[] for _ in a.states]
+    for (src, dst, lx, ly), ors in fold.items():
+        k = mask_ids.setdefault(tuple(ors.items()), len(mask_ids))
+        moves[src].append((k, lx, lx + ly, dst))
+    mask_parts = list(mask_ids)
+    span = 1 + max((lx + ly for _, _, lx, ly in fold), default=0)
+    ring: list[dict[int, int]] = [{} for _ in range(span)]
+    ring[0] = {index[q]: 1 for q in a.initial}
     for d in range(n):
+        sh = [p >> (s - d) for p, s in padded]
+        masks: list[int | None] = [None] * len(mask_parts)
         for q, reach in ring[d % span].items():
-            if not reach:
-                continue
-            for px, lx, py, ly, grow, dst in moves[q]:
-                if d + grow <= n:
-                    hit = reach & px & (py >> (n - d - ly))
-                    if hit:
-                        ring[(d + grow) % span][dst] |= hit << lx
-        ring[d % span] = dict.fromkeys(a.states, 0)
-    return any(ring[n % span][q] for q in a.final)
+            for k, lx, grow, dst in moves[q]:
+                mask = masks[k]
+                if mask is None:
+                    mask = 0
+                    for y, p in mask_parts[k]:
+                        mask |= p & sh[y]
+                    masks[k] = mask
+                hit = reach & mask
+                if hit:
+                    # if x and y overlap, d+grow > n; levels d+1..d+span-1
+                    # have distinct slots, so that level's slot is none of
+                    # d+1..n's and is never read
+                    nxt = ring[(d + grow) % span]
+                    nxt[dst] = nxt.get(dst, 0) | hit << lx
+        ring[d % span] = {}
+    return any(ring[n % span].get(index[q]) for q in a.final)
 
 
 def enumerate_gamma_language(a: CoupleNfa, max_len: int) -> LangSet:
@@ -160,7 +182,9 @@ def enumerate_gamma_language(a: CoupleNfa, max_len: int) -> LangSet:
     n <= max_len - depth[q], and unreachable states list nothing. Since
     depth[dst] <= depth[q] + |x| + |y|, every entry read is one built."""
     check_max_len(max_len, AutomatonError)
-    by_src = _by_src(a)
+    by_src: dict[str, list[tuple[str, str, str]]] = {q: [] for q in a.states}
+    for src, (x, y), dst in a.transitions:
+        by_src[src].append((x, y, dst))
     depth: dict[str, int] = {}
     buckets: list[set[str]] = [set(a.initial)] + [set() for _ in range(max_len)]
     for d, bucket in enumerate(buckets):

@@ -198,6 +198,41 @@ def test_membership_dp_reads_labels_of_several_letters():
     assert [w for w in words if membership_dp(a, w)] == members
 
 
+# s reaches m by three couples of one shape, two of them with the same y,
+# and reaches t1 and t2 by one couple; the two-letter labels out of t1
+# and t2 fit only in the last two to four letters of a word
+FOLDS = CoupleNfa(
+    ("a", "b", "c", "ab", "ba"),
+    ("s", "m", "t1", "t2", "f"),
+    frozenset({"s"}),
+    frozenset({"m", "f"}),
+    frozenset({
+        ("s", ("a", "a"), "s"),
+        ("s", ("b", ""), "s"),
+        ("s", ("a", "b"), "m"),
+        ("s", ("c", "b"), "m"),
+        ("s", ("b", "a"), "m"),
+        ("s", ("c", "c"), "t1"),
+        ("s", ("c", "c"), "t2"),
+        ("t1", ("ab", "ba"), "f"),
+        ("t2", ("", "ab"), "f"),
+    }),
+)
+
+
+def test_membership_dp_folds_couples_and_stops_at_the_end():
+    a = FOLDS
+    words = list(iter_words(("a", "b", "c"), 7))
+    members = [w for w in words if membership_test(a, w)]
+    assert {"ab", "acba", "bba", "cabbac", "bcabc", "acabca"} <= set(members)
+    # In cabac and cbc, t1's (ab, ba) and t2's (~, ab) overlap the middle
+    # aba and b: their hits go to level n+1. The ring holds 1 + max|xy|
+    # levels, so levels d+1..d+max|xy| have distinct slots, and a level
+    # past n shares its slot with none of d+1..n: it is never read.
+    assert "cabac" not in members and "cbc" not in members
+    assert [w for w in words if membership_dp(a, w)] == members
+
+
 one_sided = st.sampled_from([("a", ""), ("", "a"), ("b", ""), ("", "b")])
 
 
