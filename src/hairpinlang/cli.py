@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Subcommands: parse, derive, dta, effective, member, enum, grammar,
-verify-bounds. Exit status is 0 on success, 1 when a membership query
-answers false or a bound check fails (so shells can branch on it), and
-2 on usage, parse, or I/O errors and on input too large to process.
+verify-bounds. Each takes --expr (optional for grammar) and --map or
+--map-file; all but parse and verify-bounds take --reduce, since
+verify-bounds always counts without simplification; --max-len is enum's
+alone; dta, effective and grammar take --format and --out. A flag that
+a subcommand does not take is a usage error. Exit status is 0 on
+success, 1 when a membership query answers false or a bound check fails
+(so shells can branch on it), and 2 on usage, parse, or I/O errors and
+on input too large to process.
 """
 
 from __future__ import annotations
@@ -40,42 +45,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, word=False, couple=False):
-        p.add_argument("--expr", help="expression text")
+    def command(name, help, expr=True, reduce=True, output=False):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--expr", required=expr, help="expression text")
         p.add_argument("--map", dest="map_spec", help='anti-morphism, e.g. "a:a,b:c,c:b"')
         p.add_argument("--map-file", help="anti-morphism file, one 'x -> y' per line")
-        p.add_argument("--max-len", type=int, default=8, help="enumeration bound (default 8)")
-        p.add_argument("--reduce", choices=("on", "off"), default="on",
-                       help="canonicalize derivative terms (default on)")
-        if word:
-            p.add_argument("--word", required=True, help='word to test; "" for the empty word')
-        if couple:
-            p.add_argument("--couple", required=True, help='couple symbol, e.g. "(b,c)" or "(a,~)"')
+        if reduce:
+            p.add_argument("--reduce", choices=("on", "off"), default="on",
+                           help="canonicalize derivative terms (default on)")
+        if output:
+            p.add_argument("--format", choices=("text", "dot"), default="text")
+            p.add_argument("--out", help="write to a file instead of standard output")
+        return p
 
-    def output(p):
-        p.add_argument("--format", choices=("text", "dot"), default="text")
-        p.add_argument("--out", help="write to a file instead of standard output")
-
-    common(sub.add_parser("parse", help="parse and show metrics"))
-    common(sub.add_parser("derive", help="one two-sided derivative step"), couple=True)
-    p = sub.add_parser("dta", help="two-sided derived term automaton")
-    common(p)
-    output(p)
-    p = sub.add_parser("effective", help="recognizer for a k = 0 completion")
-    common(p)
-    output(p)
-    p = sub.add_parser("member", help="membership of a word")
-    common(p, word=True)
+    command("parse", "parse and show metrics", reduce=False)
+    command("derive", "one two-sided derivative step").add_argument(
+        "--couple", required=True, help='couple symbol, e.g. "(b,c)" or "(a,~)"')
+    command("dta", "two-sided derived term automaton", output=True)
+    command("effective", "recognizer for a k = 0 completion", output=True)
+    p = command("member", "membership of a word")
+    p.add_argument("--word", required=True, help='word to test; "" for the empty word')
     p.add_argument("--algo", choices=("dp", "naive"), default="dp",
                    help="dp = bit-parallel sweep, naive = the recursive reference algorithm")
-    common(sub.add_parser("enum", help="enumerate the language up to --max-len"))
-    p = sub.add_parser("grammar", help="convert between automata and linear grammars")
-    common(p)
+    command("enum", "enumerate the language up to --max-len").add_argument(
+        "--max-len", type=int, default=8, help="enumeration bound (default 8)")
+    p = command("grammar", "convert between automata and linear grammars",
+                expr=False, output=True)
     p.add_argument("--nfa", help="read an automaton text file and emit its grammar")
     p.add_argument("--grammar", dest="grammar_file",
                    help="read a grammar text file and emit its automaton")
-    output(p)
-    common(sub.add_parser("verify-bounds", help="derived-term counts vs. theoretical bounds"))
+    command("verify-bounds", "derived-term counts vs. theoretical bounds", reduce=False)
     return top
 
 
@@ -88,12 +87,6 @@ def _registry(args) -> dict:
         with open(args.map_file, encoding="utf-8") as fh:
             return {"H": parse_map_file(fh.read())}
     return {}
-
-
-def _expr(args, registry):
-    if not args.expr:
-        raise ExprError("--expr is required for this command")
-    return parse(args.expr, registry)
 
 
 def _couple(text: str):
@@ -109,8 +102,10 @@ def _couple(text: str):
     return (x, y)
 
 
-def _automaton(e, registry, reduce: bool):
-    """Route an expression to the construction that recognizes it."""
+def _automaton(args, registry):
+    """Parse --expr and route it to the construction that recognizes it."""
+    e = parse(args.expr, registry)
+    reduce = args.reduce == "on"
     if has_zero_k(e):
         if isinstance(e, Completion):
             return effective_automaton(e, registry, reduce)
@@ -119,22 +114,19 @@ def _automaton(e, registry, reduce: bool):
 
 
 def _emit(text: str, args):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _automaton_text(a, args) -> str:
-    if getattr(args, "format", "text") == "dot":
-        return cnfa.to_dot(a)
-    return cnfa.to_text(a)
+def _emit_automaton(a, args):
+    _emit(cnfa.to_dot(a) if args.format == "dot" else cnfa.to_text(a), args)
 
 
-def cmd_parse(args) -> int:
-    registry = _registry(args)
-    e = _expr(args, registry)
+def cmd_parse(args, registry) -> int:
+    e = parse(args.expr, registry)
     ms = metrics(e)
     print(f"expr: {expr_str(e)}")
     print(f"kind: {'regex' if pure_regex_of(e) is not None else 'hairpin'}")
@@ -147,76 +139,55 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def cmd_derive(args) -> int:
-    registry = _registry(args)
-    e = _expr(args, registry)
-    c = _couple(args.couple)
-    for term in two_sided_pd(e, c, registry, args.reduce == "on"):
+def cmd_derive(args, registry) -> int:
+    e = parse(args.expr, registry)
+    for term in two_sided_pd(e, _couple(args.couple), registry, args.reduce == "on"):
         print(expr_str(term))
     return 0
 
 
-def cmd_dta(args) -> int:
-    registry = _registry(args)
-    e = _expr(args, registry)
-    a = two_sided_dta(e, registry, args.reduce == "on")
-    _emit(_automaton_text(a, args), args)
+def cmd_build(args, registry, build) -> int:
+    """dta and effective: print the automaton that build makes."""
+    _emit_automaton(build(parse(args.expr, registry), registry, args.reduce == "on"), args)
     return 0
 
 
-def cmd_effective(args) -> int:
-    registry = _registry(args)
-    e = _expr(args, registry)
-    a = effective_automaton(e, registry, args.reduce == "on")
-    _emit(_automaton_text(a, args), args)
-    return 0
-
-
-def cmd_member(args) -> int:
-    registry = _registry(args)
-    e = _expr(args, registry)
-    a = _automaton(e, registry, args.reduce == "on")
+def cmd_member(args, registry) -> int:
+    a = _automaton(args, registry)
     test = cnfa.membership_test if args.algo == "naive" else cnfa.membership_dp
     verdict = test(a, args.word)
     print("true" if verdict else "false")
     return 0 if verdict else 1
 
 
-def cmd_enum(args) -> int:
-    registry = _registry(args)
-    e = _expr(args, registry)
-    a = _automaton(e, registry, args.reduce == "on")
-    words = cnfa.enumerate_gamma_language(a, args.max_len)
+def cmd_enum(args, registry) -> int:
+    words = cnfa.enumerate_gamma_language(_automaton(args, registry), args.max_len)
     for w in sorted(words.words, key=lambda w: (len(w), w)):
         print(w or "~")
     return 0
 
 
-def cmd_grammar(args) -> int:
+def cmd_grammar(args, registry) -> int:
     chosen = [opt for opt in (args.expr, args.nfa, args.grammar_file) if opt]
     if len(chosen) != 1:
         raise ExprError("give exactly one of --expr, --nfa, --grammar")
     if args.grammar_file:
         with open(args.grammar_file, encoding="utf-8") as fh:
             g = gram.from_text(fh.read())
-        _emit(_automaton_text(gram.grammar_to_nfa(g), args), args)
+        _emit_automaton(gram.grammar_to_nfa(g), args)
         return 0
     if args.nfa:
         with open(args.nfa, encoding="utf-8") as fh:
             a = cnfa.from_text(fh.read())
     else:
-        registry = _registry(args)
-        e = _expr(args, registry)
-        a = _automaton(e, registry, args.reduce == "on")
+        a = _automaton(args, registry)
     _emit(gram.to_text(gram.nfa_to_grammar(a)), args)
     return 0
 
 
-def cmd_verify_bounds(args) -> int:
-    registry = _registry(args)
-    e = _expr(args, registry)
+def cmd_verify_bounds(args, registry) -> int:
+    e = parse(args.expr, registry)
     b = bounds(e)
-    alphabet = infer_alphabet(e, registry)
     ok = True
 
     def report(name: str, actual: int, bound: int):
@@ -227,6 +198,7 @@ def cmd_verify_bounds(args) -> int:
 
     f = pure_regex_of(e)
     if f is not None:
+        alphabet = infer_alphabet(e, registry)
         dl = derived_terms(f, "left", alphabet=alphabet, reduce=False)
         dr = derived_terms(f, "right", alphabet=alphabet, reduce=False)
         report("left derived terms", len(dl.terms), b.left_bound)
@@ -236,18 +208,21 @@ def cmd_verify_bounds(args) -> int:
         n = metrics(e).n
         report("effective automaton states", len(a.states), 2 * n + 1)
     else:
-        dt = derived_terms(e, "two_sided", registry, alphabet, reduce=False)
-        report("two-sided derived terms", len(dt.terms), b.two_sided_bound)
         a = two_sided_dta(e, registry, reduce=False)
+        # The closure keeps a term only as the target of a step it records,
+        # so the derived terms are exactly the distinct transition targets.
+        report("two-sided derived terms", len({t for _, _, t in a.transitions}),
+               b.two_sided_bound)
         report("automaton states", len(a.states), b.state_bound)
     return 0 if ok else 1
 
 
+# The lambdas look their builder up when called, so a wrapped one is used.
 _COMMANDS = {
     "parse": cmd_parse,
     "derive": cmd_derive,
-    "dta": cmd_dta,
-    "effective": cmd_effective,
+    "dta": lambda args, registry: cmd_build(args, registry, two_sided_dta),
+    "effective": lambda args, registry: cmd_build(args, registry, effective_automaton),
     "member": cmd_member,
     "enum": cmd_enum,
     "grammar": cmd_grammar,
@@ -262,7 +237,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _registry(args))
     except (ExprError, OracleError, cnfa.AutomatonError, gram.GrammarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

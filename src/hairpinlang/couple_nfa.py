@@ -242,7 +242,11 @@ def _unesc(text: str) -> str:
 
 
 def to_text(a: CoupleNfa) -> str:
-    """Line-oriented dump; from_text() reads it back."""
+    """Line-oriented dump; from_text() reads it back. The alphabet line
+    runs its symbols together, so every symbol must be one character."""
+    for s in a.alphabet:
+        if len(s) != 1:
+            raise AutomatonError(f"symbol {s!r} is not one character, which the text format needs")
     names = dict(a.labels)
     lines = ["alphabet " + " ".join(a.alphabet)]
     for q in a.states:

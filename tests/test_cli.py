@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +224,41 @@ def test_grammar_missing_file(capsys):
     assert "error:" in err
 
 
+def test_grammar_reads_the_map_given_with_an_nfa_file(tmp_path, capsys):
+    nfa_file = tmp_path / "loop.nfa"
+    nfa_file.write_text(STEM_LOOP_TEXT)
+    rc = run(["grammar", "--nfa", str(nfa_file), "--map", "a"])
+    _, err = out_of(capsys)
+    assert rc == 2
+    assert err == "error: bad map entry 'a', expected 'x:y'\n"
+
+
+def test_automaton_text_refuses_a_terminal_of_several_letters(tmp_path, capsys):
+    grammar_file = tmp_path / "ab.grammar"
+    grammar_file.write_text("axiom S\nunit S A\nprod A ab A c\nprod A ~\n")
+    rc = run(["grammar", "--grammar", str(grammar_file)])
+    out, err = out_of(capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: symbol 'ab' is not one character")
+
+
+# --max-len belongs to enum alone, and verify-bounds always counts raw.
+UNREAD_FLAGS = {
+    "parse-max-len": ["parse", "--expr", "ab", "--max-len", "3"],
+    "dta-max-len": ["dta", "--expr", "Hr[1,H](a*bc)", "--map", INV, "--max-len", "3"],
+    "verify-bounds-reduce": ["verify-bounds", "--expr", "a*bc", "--reduce", "on"],
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS.keys())
+def test_a_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+
 def test_verify_bounds_regex(capsys):
     assert run(["verify-bounds", "--expr", "a*bc", "--map", INV]) == 0
     out, _ = out_of(capsys)
@@ -347,3 +383,24 @@ def test_python_dash_m_runs_the_cli(module):
     assert (yes.returncode, yes.stdout) == (0, "true\n")
     no = subprocess.run(base + ["--word", "abcaa"], env=env, capture_output=True, text=True)
     assert (no.returncode, no.stdout) == (1, "false\n")
+
+
+def readme_transcript():
+    """(argv, stdout) for every `$ hairpin` line of README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    cases = []
+    for chunk in block.split("\n\n"):
+        command, *lines = chunk.splitlines()
+        assert command.startswith("$ hairpin ")
+        cases.append((shlex.split(command)[2:], "".join(line + "\n" for line in lines)))
+    return cases
+
+
+README_CASES = readme_transcript()
+
+
+@pytest.mark.parametrize("argv, want", README_CASES, ids=[argv[0] for argv, _ in README_CASES])
+def test_readme_transcript(argv, want, capsys):
+    assert run(argv) == 0
+    assert out_of(capsys) == (want, "")

@@ -264,6 +264,16 @@ def test_two_sided_dta_transitions_match_per_couple_derivatives():
             assert trans_by_label(two_sided_dta(e, reg, reduce)) == want, expr_str(e)
 
 
+def test_two_sided_derived_terms_are_the_transition_targets():
+    # hairpin verify-bounds counts the derived terms this way
+    cases = corpus_expressions() + [(parse(t), {}) for t in REGEX_CORPUS]
+    for reduce in (True, False):
+        for e, reg in cases:
+            dt = derived_terms(e, "two_sided", reg, infer_alphabet(e, reg), reduce)
+            targets = {t for _, _, t in two_sided_dta(e, reg, reduce).transitions}
+            assert len(dt.terms) == len(targets), expr_str(e)
+
+
 def test_regex_dta_transitions_match_per_symbol_derivatives():
     rng = random.Random(89)
     regexes = [parse(t).re for t in REGEX_CORPUS]

@@ -316,6 +316,12 @@ def test_text_escapes_spaces_in_labels():
     assert from_text(dump) == a
 
 
+def test_to_text_refuses_symbols_it_cannot_read_back():
+    # the alphabet line "ab c" would read back as a, b, c
+    with pytest.raises(AutomatonError, match="'ab' is not one character"):
+        to_text(SEVERAL_LETTERS)
+
+
 def test_alphabet_tokens_may_run_together():
     a = from_text("alphabet ab\nstate 0 initial final\n")
     assert a.alphabet == ("a", "b")
