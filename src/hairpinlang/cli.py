@@ -5,7 +5,8 @@ verify-bounds. Each takes --expr (optional for grammar) and --map or
 --map-file; all but parse and verify-bounds take --reduce, since
 verify-bounds always counts without simplification; --max-len is enum's
 alone; dta, effective and grammar take --format and --out. A flag that
-a subcommand does not take is a usage error. Exit status is 0 on
+a subcommand does not read is a usage error: grammar reads --format only
+with --grammar and --reduce only with --expr. Exit status is 0 on
 success, 1 when a membership query answers false or a bound check fails
 (so shells can branch on it), and 2 on usage, parse, or I/O errors and
 on input too large to process.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from . import couple_nfa as cnfa
 from . import grammar as gram
@@ -74,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nfa", help="read an automaton text file and emit its grammar")
     p.add_argument("--grammar", dest="grammar_file",
                    help="read a grammar text file and emit its automaton")
+    p.set_defaults(format=None, reduce=None)  # so that cmd_grammar sees them given
     command("verify-bounds", "derived-term counts vs. theoretical bounds", reduce=False)
     return top
 
@@ -105,7 +106,7 @@ def _couple(text: str):
 def _automaton(args, registry):
     """Parse --expr and route it to the construction that recognizes it."""
     e = parse(args.expr, registry)
-    reduce = args.reduce == "on"
+    reduce = args.reduce != "off"
     if has_zero_k(e):
         if isinstance(e, Completion):
             return effective_automaton(e, registry, reduce)
@@ -171,6 +172,10 @@ def cmd_grammar(args, registry) -> int:
     chosen = [opt for opt in (args.expr, args.nfa, args.grammar_file) if opt]
     if len(chosen) != 1:
         raise ExprError("give exactly one of --expr, --nfa, --grammar")
+    if args.format and not args.grammar_file:
+        raise ExprError("--format is read only with --grammar")
+    if args.reduce and not args.expr:
+        raise ExprError("--reduce is read only with --expr")
     if args.grammar_file:
         with open(args.grammar_file, encoding="utf-8") as fh:
             g = gram.from_text(fh.read())
@@ -230,7 +235,7 @@ _COMMANDS = {
 }
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

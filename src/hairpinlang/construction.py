@@ -18,8 +18,6 @@ state stands for is kept as its display label.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .couple_nfa import CoupleNfa
 from .derivation import derived_terms
 from .expr import (
@@ -72,7 +70,7 @@ def regex_dta(f: RegexAst, reduce: bool = True) -> CoupleNfa:
 
 
 def two_sided_dta(
-    e, registry: Optional[Registry] = None, reduce: bool = True
+    e, registry: Registry | None = None, reduce: bool = True
 ) -> CoupleNfa:
     """Two-sided derived term automaton: states are the expression plus
     its two-sided derived terms, transitions run over every couple symbol
@@ -94,7 +92,7 @@ def two_sided_dta(
 
 
 def effective_automaton(
-    e, registry: Optional[Registry] = None, reduce: bool = True
+    e, registry: Registry | None = None, reduce: bool = True
 ) -> CoupleNfa:
     """Recognizer for a k = 0 completion of a regular language.
 

@@ -23,10 +23,9 @@ the bound list no words at all.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .expr import Couple
+from .expr import Couple, Record
 from .oracle import LangSet, check_max_len
 
 
@@ -34,8 +33,7 @@ class AutomatonError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoupleNfa:
+class CoupleNfa(Record, labels=()):
     """An NFA over a couple alphabet.
 
     ``states`` are identifier strings in display order; ``labels`` may map
@@ -44,12 +42,7 @@ class CoupleNfa:
     (source, (x, y), target) with "" standing for ε on either side.
     """
 
-    alphabet: tuple[str, ...]
-    states: tuple[str, ...]
-    initial: frozenset[str]
-    final: frozenset[str]
-    transitions: frozenset[tuple[str, Couple, str]]
-    labels: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("alphabet", "states", "initial", "final", "transitions", "labels")
 
     def __post_init__(self):
         declared = set(self.states)

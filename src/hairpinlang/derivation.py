@@ -22,8 +22,6 @@ construction take them from the closure and derive nothing again.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
 
 from .expr import (
     Concat,
@@ -35,6 +33,7 @@ from .expr import (
     HPrime,
     HRight,
     HSum,
+    Record,
     Reg,
     Registry,
     RegexAst,
@@ -116,7 +115,7 @@ def word_pd(
 def two_sided_pd(
     e,
     c: Couple,
-    registry: Optional[Registry] = None,
+    registry: Registry | None = None,
     reduce: bool = True,
 ) -> tuple:
     """Two-sided partial derivative of a hairpin expression by the couple
@@ -177,23 +176,19 @@ def _reg_two_sided(f: RegexAst, x: str, y: str, reduce: bool):
     return tuple(sorted((Reg(t) for t in terms), key=expr_key))
 
 
-@dataclass(frozen=True)
-class DerivedTerms:
+class DerivedTerms(Record):
     """A derived-term closure. ``edges`` holds every step the closure took,
     as (term, symbol or couple, derived term), the source's own steps
     included: they are the transitions of the derived-term automaton."""
 
-    terms: tuple
-    side: str
-    source: object
-    edges: tuple
+    __slots__ = ("terms", "side", "source", "edges")
 
 
 def derived_terms(
     e,
     side: str,
-    registry: Optional[Registry] = None,
-    alphabet: Optional[tuple[str, ...]] = None,
+    registry: Registry | None = None,
+    alphabet: tuple[str, ...] | None = None,
     reduce: bool = True,
 ) -> DerivedTerms:
     """Closure of the one-step derivatives of e under further derivation,
@@ -248,12 +243,8 @@ def phi(k: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Bounds:
-    left_bound: int
-    right_bound: int
-    two_sided_bound: int
-    state_bound: int
+class Bounds(Record):
+    __slots__ = ("left_bound", "right_bound", "two_sided_bound", "state_bound")
 
 
 def bounds(e) -> Bounds:

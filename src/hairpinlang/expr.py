@@ -32,13 +32,19 @@ Concrete syntax (whitespace between tokens is ignored)::
 Symbols are single ASCII letters or digits; '%e' is the empty word, '%0'
 the empty set. Concatenation and '+' are left-associative; '*' binds
 tightest.
+
+Every value class of the package is a ``Record``: immutable, its fields
+named in ``__slots__`` (private slots start with ``_``). ``exec`` writes
+each subclass its own ``__init__`` (positional or keyword, defaults as
+class keywords, then ``__post_init__``), ``__eq__`` (same class, equal
+fields) and ``__hash__`` (of the field tuple, as a frozen dataclass), so no
+hot method loops over fields and no import of ``dataclasses`` is paid.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import ClassVar, Iterator, Mapping, Optional, Union
+from collections.abc import Iterator, Mapping
 
 
 class ExprError(ValueError):
@@ -53,12 +59,44 @@ class ParseError(ExprError):
         self.pos = pos
 
 
+class Record:
+    """Base of the immutable value classes (see the module docstring).
+    Copies and pickles are rebuilt through the constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **defaults):
+        own = tuple(f for f in cls.__dict__.get("__slots__", ()) if not f.startswith("_"))
+        cls._fields = fields = getattr(cls, "_fields", ()) + own
+        params = "".join(f", {f}=_d_{f}" if f in defaults else f", {f}" for f in fields)
+        body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+        body += "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        mine, theirs = ("".join(f"{x}.{f}," for f in fields) for x in ("self", "other"))
+        ns = {"_set": object.__setattr__, **{f"_d_{f}": v for f, v in defaults.items()}}
+        exec(f"def __init__(self{params}):{body or ' pass'}\n"
+             f"def __eq__(self, other):\n    return ({mine}) == ({theirs}) "
+             "if other.__class__ is self.__class__ else NotImplemented\n"
+             f"def __hash__(self):\n    return hash(({mine}))\n", ns)
+        cls.__init__, cls.__eq__, cls.__hash__ = ns["__init__"], ns["__eq__"], ns["__hash__"]
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
 # ---------------------------------------------------------------------------
 # Anti-morphisms
 
 
-@dataclass(frozen=True)
-class AntiMorphism:
+class AntiMorphism(Record):
     """A named total symbol map on a finite alphabet, applied to words in
     reverse: the image of a word maps every symbol and flips the order, so
     images of concatenations swap sides.
@@ -68,8 +106,7 @@ class AntiMorphism:
     property, not a requirement.
     """
 
-    name: str
-    table: tuple[tuple[str, str], ...]
+    __slots__ = ("name", "table", "_map")
 
     def __post_init__(self):
         mapping = dict(self.table)
@@ -88,7 +125,7 @@ class AntiMorphism:
         object.__setattr__(self, "_map", mapping)
 
     @classmethod
-    def from_mapping(cls, name: str, mapping: Mapping[str, str]) -> "AntiMorphism":
+    def from_mapping(cls, name: str, mapping: Mapping[str, str]) -> AntiMorphism:
         return cls(name, tuple(sorted(mapping.items())))
 
     @property
@@ -148,11 +185,12 @@ def parse_map_file(text: str, name: str = "H") -> AntiMorphism:
     return AntiMorphism(name, tuple(pairs))
 
 
-Registry = Mapping[str, AntiMorphism]
+# Type aliases are strings: annotations are never evaluated at run time.
+Registry = "Mapping[str, AntiMorphism]"
 
 # A couple symbol (x, y) with "" standing for the empty word on either side;
 # ("", "") is excluded from every couple alphabet.
-Couple = tuple[str, str]
+Couple = "tuple[str, str]"
 
 
 def all_couples(alphabet: tuple[str, ...]) -> tuple[Couple, ...]:
@@ -168,43 +206,35 @@ def all_couples(alphabet: tuple[str, ...]) -> tuple[Couple, ...]:
 # Regular expression AST
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
+class Empty(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    pass
+class Epsilon(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sym:
-    ch: str
+class Sym(Record):
+    __slots__ = ("ch",)
 
     def __post_init__(self):
         if len(self.ch) != 1 or not self.ch.isalnum():
             raise ExprError(f"bad symbol {self.ch!r}")
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "RegexAst"
-    right: "RegexAst"
+class Sum(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: "RegexAst"
-    right: "RegexAst"
+class Concat(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Star:
-    inner: "RegexAst"
+class Star(Record):
+    __slots__ = ("inner",)
 
 
-RegexAst = Union[Empty, Epsilon, Sym, Sum, Concat, Star]
+RegexAst = "Empty | Epsilon | Sym | Sum | Concat | Star"
 
 EMPTY = Empty()
 EPSILON = Epsilon()
@@ -221,27 +251,19 @@ def _check_regex(node, ctx: str):
         raise ExprError(f"{ctx} requires a regular expression, got {type(node).__name__}")
 
 
-@dataclass(frozen=True)
-class Reg:
-    re: RegexAst
+class Reg(Record):
+    __slots__ = ("re",)
 
     def __post_init__(self):
         _check_regex(self.re, "Reg")
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(Record):
     """A completion operator: stem length k, anti-morphism name h and the
-    regex it completes. Subclasses set only the class constants."""
+    regex it completes. Subclasses set only the class constants ``op``,
+    ``mode``, ``min_k`` and ``rank``."""
 
-    op: ClassVar[str]
-    mode: ClassVar[str]
-    min_k: ClassVar[int]
-    rank: ClassVar[int]
-
-    k: int
-    h: str
-    inner: RegexAst
+    __slots__ = ("k", "h", "inner")
 
     def __post_init__(self):
         if self.k < self.min_k:
@@ -250,21 +272,22 @@ class Completion:
 
 
 class HRight(Completion):
+    __slots__ = ()
     op, mode, min_k, rank = "Hr", "right", 0, 1
 
 
 class HLeft(Completion):
+    __slots__ = ()
     op, mode, min_k, rank = "Hl", "left", 0, 2
 
 
 class HPrime(Completion):
+    __slots__ = ()
     op, mode, min_k, rank = "Hp", "prime", 1, 3
 
 
-@dataclass(frozen=True)
-class HSum:
-    left: "HairpinExpr"
-    right: "HairpinExpr"
+class HSum(Record):
+    __slots__ = ("left", "right")
 
     def __post_init__(self):
         for side in (self.left, self.right):
@@ -272,7 +295,7 @@ class HSum:
                 raise ExprError(f"HSum requires hairpin expressions, got {type(side).__name__}")
 
 
-HairpinExpr = Union[Reg, Completion, HSum]
+HairpinExpr = "Reg | Completion | HSum"
 
 _HAIRPIN_TYPES = (Reg, Completion, HSum)
 
@@ -286,7 +309,7 @@ def as_hairpin(e) -> HairpinExpr:
     raise ExprError(f"not an expression: {e!r}")
 
 
-def pure_regex_of(e) -> Optional[RegexAst]:
+def pure_regex_of(e) -> RegexAst | None:
     """The underlying regex if ``e`` has no hairpin operator, else None."""
     if isinstance(e, _REGEX_TYPES):
         return e
@@ -326,7 +349,7 @@ def symbols_of(e) -> frozenset[str]:
     return frozenset(n.ch for n in _nodes(e) if isinstance(n, Sym))
 
 
-def infer_alphabet(e, registry: Optional[Registry] = None) -> tuple[str, ...]:
+def infer_alphabet(e, registry: Registry | None = None) -> tuple[str, ...]:
     """Working alphabet for ``e``: its symbols plus the domains of every
     anti-morphism it references."""
     syms = set(symbols_of(e))
@@ -391,12 +414,8 @@ def nullable(e) -> bool:
     return e.k == 0 and nullable(e.inner)
 
 
-@dataclass(frozen=True)
-class ExprMetrics:
-    n: int
-    h: int
-    m: int
-    index: int
+class ExprMetrics(Record):
+    __slots__ = ("n", "h", "m", "index")
 
 
 def metrics(e) -> ExprMetrics:
@@ -511,12 +530,12 @@ _HAIRPIN_OPS = {op.op: op for op in (HRight, HLeft, HPrime)}
 
 
 class _Parser:
-    def __init__(self, text: str, registry: Optional[Registry]):
+    def __init__(self, text: str, registry: Registry | None):
         self.text = text
         self.pos = 0
         self.registry = registry or {}
 
-    def fail(self, message: str, pos: Optional[int] = None):
+    def fail(self, message: str, pos: int | None = None):
         raise ParseError(message, self.pos if pos is None else pos)
 
     def skip_ws(self):
@@ -661,7 +680,7 @@ class _Parser:
         self.fail(f"unexpected {got!r}")
 
 
-def parse(text: str, registry: Optional[Registry] = None) -> HairpinExpr:
+def parse(text: str, registry: Registry | None = None) -> HairpinExpr:
     """Parse the concrete syntax into a hairpin expression.
 
     Pure regexes come back as ``Reg`` nodes. Every hairpin operator's name

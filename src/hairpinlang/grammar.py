@@ -14,9 +14,8 @@ of the linear languages; generate_upto is the bounded witness for that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .couple_nfa import CoupleNfa, enumerate_gamma_language
+from .expr import Record
 from .oracle import LangSet, check_max_len
 
 
@@ -24,14 +23,11 @@ class GrammarError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LinearGrammar:
-    terminals: tuple[str, ...]
-    nonterminals: tuple[str, ...]
-    axiom: str
-    productions: frozenset[tuple[str, str, str, str]]  # (A, x, B, y), ~ y as ""
-    eps_productions: frozenset[str]  # A with A -> ε
-    axiom_links: frozenset[str]  # B with S -> B, S the axiom
+class LinearGrammar(Record):
+    # productions: (A, x, B, y), ~ y as ""; eps_productions: A with A -> ε;
+    # axiom_links: B with S -> B, S the axiom
+    __slots__ = ("terminals", "nonterminals", "axiom", "productions", "eps_productions",
+                 "axiom_links")
 
     def __post_init__(self):
         declared = set(self.nonterminals)

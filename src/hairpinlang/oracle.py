@@ -10,8 +10,6 @@ validated against these functions, so they favor obviousness over speed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
 
 from .expr import (
     AntiMorphism,
@@ -19,6 +17,7 @@ from .expr import (
     Empty,
     Epsilon,
     HSum,
+    Record,
     Reg,
     RegexAst,
     Registry,
@@ -35,8 +34,7 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LangSet:
+class LangSet(Record):
     """Words of a language up to a length bound.
 
     The contract is exactness: ``words`` holds every member of length at
@@ -44,8 +42,7 @@ class LangSet:
     nothing, not even the empty word.
     """
 
-    words: frozenset[str]
-    bound: int
+    __slots__ = ("words", "bound")
 
     def __post_init__(self):
         for w in self.words:
@@ -60,13 +57,13 @@ class LangSet:
     def __iter__(self):
         return iter(sorted(self.words, key=lambda w: (len(w), w)))
 
-    def restrict(self, n: int) -> "LangSet":
+    def restrict(self, n: int) -> LangSet:
         """The same language cut to a (usually smaller) bound."""
         if n >= self.bound:
             return LangSet(self.words, self.bound)
         return LangSet(frozenset(w for w in self.words if len(w) <= n), n)
 
-    def union(self, other: "LangSet") -> "LangSet":
+    def union(self, other: LangSet) -> LangSet:
         """Union, exact only up to the smaller of the two bounds."""
         bound = min(self.bound, other.bound)
         words = frozenset(w for w in self.words | other.words if len(w) <= bound)
@@ -120,7 +117,7 @@ def complete(
     h: AntiMorphism,
     k: int,
     mode: str,
-    l2: Optional[LangSet] = None,
+    l2: LangSet | None = None,
 ) -> LangSet:
     """Hairpin completion of an enumerated language, by the set definitions.
 
@@ -197,7 +194,7 @@ def residual(l: LangSet, u: str, v: str) -> LangSet:
 
 
 def hairpin_enum(
-    e, max_len: int, registry: Optional[Registry] = None
+    e, max_len: int, registry: Registry | None = None
 ) -> LangSet:
     """All words of L(e) of length at most max_len, for a hairpin
     expression: enumerate the regex parts, then apply the completion

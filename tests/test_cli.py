@@ -373,16 +373,33 @@ def test_long_word_member_gets_the_right_answer(capsys):
     assert out_of(capsys) == ("true\n", "")
 
 
+def env_with_src():
+    """The environment, with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(hairpinlang.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.mark.parametrize("module", ["hairpinlang", "hairpinlang.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    src = str(Path(hairpinlang.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = env_with_src()
     base = [sys.executable, "-m", module, "member", "--expr", "Hr[1,H](a*bc)", "--map", INV]
     yes = subprocess.run(base + ["--word", "aabcaa"], env=env, capture_output=True, text=True)
     assert (yes.returncode, yes.stdout) == (0, "true\n")
     no = subprocess.run(base + ["--word", "abcaa"], env=env, capture_output=True, text=True)
     assert (no.returncode, no.stdout) == (1, "false\n")
+
+
+# Run as the `hairpin` command starts: no site, a fresh interpreter. These
+# three modules once took about half of a call's wall time.
+IMPORT_GUARD = ("import sys, hairpinlang.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    done = subprocess.run([sys.executable, "-S", "-c", IMPORT_GUARD], env=env_with_src(),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def readme_transcript():
@@ -404,3 +421,35 @@ README_CASES = readme_transcript()
 def test_readme_transcript(argv, want, capsys):
     assert run(argv) == 0
     assert out_of(capsys) == (want, "")
+
+
+# grammar reads --format only with --grammar, --reduce only with --expr
+GRAMMAR_UNREAD = {
+    "nfa-format": (["--nfa", "{nfa}", "--format", "dot"], "--format is read only with --grammar"),
+    "expr-format": (["--expr", "ab", "--format", "text"], "--format is read only with --grammar"),
+    "nfa-reduce": (["--nfa", "{nfa}", "--reduce", "off"], "--reduce is read only with --expr"),
+    "grammar-reduce": (["--grammar", "{grammar}", "--reduce", "on"],
+                       "--reduce is read only with --expr"),
+}
+
+
+def grammar_sources(tmp_path):
+    paths = {"nfa": tmp_path / "loop.nfa", "grammar": tmp_path / "loop.grammar"}
+    paths["nfa"].write_text(STEM_LOOP_TEXT)
+    paths["grammar"].write_text("axiom S\nunit S A\nprod A a A a\nprod A ~\n")
+    return paths
+
+
+@pytest.mark.parametrize("flags, message", GRAMMAR_UNREAD.values(), ids=GRAMMAR_UNREAD.keys())
+def test_grammar_refuses_a_flag_its_source_does_not_read(flags, message, tmp_path, capsys):
+    paths = grammar_sources(tmp_path)
+    assert run(["grammar", "--map", INV] + [f.format(**paths) for f in flags]) == 2
+    assert out_of(capsys) == ("", f"error: {message}\n")
+
+
+def test_grammar_reads_format_with_grammar_and_reduce_with_expr(tmp_path, capsys):
+    paths = grammar_sources(tmp_path)
+    assert run(["grammar", "--grammar", str(paths["grammar"]), "--format", "dot"]) == 0
+    assert out_of(capsys)[0].startswith("digraph")
+    assert run(["grammar", "--expr", "ab", "--map", INV, "--reduce", "off"]) == 0
+    assert out_of(capsys)[0].startswith("axiom S\n")
